@@ -36,7 +36,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "server mode: TCP listen address")
 	engine := flag.String("engine", "nztm", "STM engine: dstm|nztm|2pl|tl2|coarse")
 	shards := flag.Int("shards", 8, "key-space shards")
-	buckets := flag.Int("buckets", 16, "hash buckets per shard")
 	batch := flag.Int("batch", 64, "max pipelined requests folded into one transaction")
 	maxLine := flag.Int("max-line", 1<<20, "max request line length in bytes (longer lines answer ERR line too long and close)")
 	runtimeKind := flag.String("runtime", "worker", "serving runtime: worker (shard-affine loops) | goroutine (one per connection)")
@@ -66,7 +65,6 @@ func main() {
 		Addr:            *addr,
 		Engine:          *engine,
 		Shards:          *shards,
-		Buckets:         *buckets,
 		Batch:           *batch,
 		MaxLine:         *maxLine,
 		Runtime:         *runtimeKind,
@@ -95,8 +93,8 @@ func runServer(cfg server.Config) {
 		fmt.Fprintf(os.Stderr, "oftm-server: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("oftm-server: serving on %s (engine=%s shards=%d buckets=%d batch=%d runtime=%s workers=%d)\n",
-		s.Addr(), cfg.Engine, cfg.Shards, cfg.Buckets, cfg.Batch, cfg.Runtime, len(s.WorkerStats()))
+	fmt.Printf("oftm-server: serving on %s (engine=%s shards=%d batch=%d runtime=%s workers=%d)\n",
+		s.Addr(), cfg.Engine, cfg.Shards, cfg.Batch, cfg.Runtime, len(s.WorkerStats()))
 	if cfg.ReplicateAddr != "" {
 		fmt.Printf("oftm-server: role=%s replicating on %s\n", s.Role(), s.ReplAddr())
 	}

@@ -23,10 +23,9 @@ func main() {
 	// engine is chosen by name; every STM engine in the repository
 	// serves the same protocol.
 	srv, err := server.New(server.Config{
-		Addr:    "127.0.0.1:0", // ephemeral port
-		Engine:  "nztm",
-		Shards:  8,
-		Buckets: 16,
+		Addr:   "127.0.0.1:0", // ephemeral port
+		Engine: "nztm",
+		Shards: 8,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -2,12 +2,11 @@ package bench
 
 // The kv-* workloads: closed-loop load against the sharded
 // transactional store (internal/kv), the serving-stack counterpart of
-// the var-array microbenchmarks. The store partitions a fixed key
-// space across S shards with a fixed per-shard bucket count, so the
-// shard count is the partitioning knob the E9 experiment sweeps:
-// sharding the key space shortens per-bucket chains and makes
-// same-shard conflicts rarer — the systems-level payoff of
-// disjoint-access-parallelism.
+// the var-array microbenchmarks. The store keeps one slot of
+// t-variables per key, so an operation's cost does not depend on the
+// shard count; the E9 sweep over shards measures what sharding does
+// cost or buy (commit-order locks, plan routing), which without a
+// commit hook and on one core is close to nothing.
 
 import (
 	"fmt"
@@ -21,15 +20,11 @@ import (
 const (
 	// kvKeys is the workload key space (pre-populated at setup).
 	kvKeys = 1024
-	// kvBucketsPerShard keeps per-shard index capacity constant, so
-	// shards=1 means long chains and hot buckets and shards=8 means
-	// short chains and spread traffic.
-	kvBucketsPerShard = 16
 )
 
 // kvSetup builds and pre-populates a store on tm.
 func kvSetup(tm core.TM, shards int) (*kv.Store, []string) {
-	s := kv.New(tm, shards, kvBucketsPerShard)
+	s := kv.New(tm, shards, 0)
 	keys := make([]string, kvKeys)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key%04d", i)

@@ -156,7 +156,7 @@ func RunReplTopology(nReplicas, conns, pipeline, windows int) (ReplResult, error
 		defer os.RemoveAll(rdir)
 		repl, err := server.New(server.Config{
 			Addr: "127.0.0.1:0", Engine: "nztm", Runtime: "goroutine",
-			Shards: srvShards, Buckets: srvBuckets,
+			Shards: srvShards,
 			WALDir: rdir, ReplicaOf: prim.ReplAddr().String(),
 		})
 		if err != nil {

@@ -29,9 +29,8 @@ const (
 	// srvKeys is the load key space, pre-populated at setup so the
 	// steady state never takes the first-insert allocation path.
 	srvKeys = 512
-	// srvShards/srvBuckets mirror the oftm-server defaults.
-	srvShards  = 8
-	srvBuckets = 16
+	// srvShards mirrors the oftm-server default.
+	srvShards = 8
 )
 
 var (
@@ -230,14 +229,11 @@ func startLoadServer(engine string, legacy bool) (*server.Server, []string, erro
 // startLoadServerCfg is startLoadServer with full config control (the
 // WAL measurements need durability fields, the scaling grid varies
 // shard count and runtime); Addr is forced to loopback-ephemeral and
-// Shards/Buckets default to the harness standard when unset.
+// Shards defaults to the harness standard when unset.
 func startLoadServerCfg(cfg server.Config) (*server.Server, []string, error) {
 	cfg.Addr = "127.0.0.1:0"
 	if cfg.Shards == 0 {
 		cfg.Shards = srvShards
-	}
-	if cfg.Buckets == 0 {
-		cfg.Buckets = srvBuckets
 	}
 	srv, err := server.New(cfg)
 	if err != nil {

@@ -1,15 +1,17 @@
 // Package kv is the serving-layer keyed store of the reproduction: a
 // sharded transactional key-value map built on the engine-generic TM
-// API. String keys are interned to dense uint64 handles; the key space
-// is partitioned across S shards, each backed by its own hash index
-// (ds.Index) over arena-allocated t-variables. Transactions on keys of
-// different shards touch disjoint t-variables, so on a strictly
+// API. String keys are interned to dense uint64 handles, and every
+// handle owns one slot of two t-variables (present, val) allocated when
+// the key is first interned, so an operation reaches its t-variables by
+// indexing a table, not by traversing a structure. Transactions on
+// different keys touch disjoint t-variables, so on a strictly
 // disjoint-access-parallel engine (2pl) they never contend, and on the
 // OFTM engines they contend only through the engine's own hot spots —
-// the store is the systems-level realization of the paper's
-// disjoint-access-parallelism argument: carve the key space so
-// independent requests run conflict-free, and make cross-shard
-// operations the explicit, measured exception.
+// the store adds no conflict the paper's model does not require. The
+// key space is also partitioned across S shards, which are the unit of
+// commit ordering (one lock per shard when a commit hook is installed),
+// of incremental snapshots (one dirty epoch and one image per shard)
+// and of statistics; a shard is not a capacity knob.
 //
 // Concurrency: a Store is safe for concurrent use by any number of
 // goroutines (raw mode) or simulated processes (sim mode; pass the
@@ -24,7 +26,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/ds"
 	"repro/internal/sim"
 )
 
@@ -84,18 +85,18 @@ type Store struct {
 	// all shards: in the steady state (key already interned) Load is a
 	// lock-free read, so the table adds no store-wide contended word —
 	// which a plain RWMutex reader count would be, defeating exactly
-	// the disjointness the sharding buys. The mutex serializes only
-	// first-time assignments.
-	handles  sync.Map
-	mu       sync.Mutex
-	nHandles uint64
+	// the disjointness the per-key slots buy. The mutex serializes only
+	// first-time assignments (and guards the shards' handle lists).
+	handles sync.Map
+	mu      sync.Mutex
 
-	// keys is the reverse of handles: keys[h-1] is the key interned as
-	// handle h. Published as an immutable-header snapshot so the
-	// commit-hook path can resolve handle -> key lock-free (the slice
-	// only ever grows; an element is written before the header carrying
-	// it is stored, and handles are handed out only after publication).
-	keys atomic.Pointer[[]string]
+	// slots is the handle table: slots[h-1] holds the key interned as
+	// handle h and its two t-variables. Published as an immutable-header
+	// snapshot so every operation (and the commit-hook path, resolving
+	// handle -> key) indexes it lock-free: the slice only ever grows, an
+	// element is written before the header carrying it is stored, and
+	// handles are handed out only after publication.
+	slots atomic.Pointer[[]slot]
 
 	// hook, when set, observes the write effects of every committed
 	// transaction (see CommitHook).
@@ -114,9 +115,68 @@ type Store struct {
 	sessions sync.Pool
 }
 
-// shard is one key-space partition: a private hash index plus stats.
+// slot is the state of one interned key: present holds 1 while the key
+// has a value, val holds that value (stale while present is 0).
+type slot struct {
+	key          string
+	present, val core.Var
+}
+
+// get reads the slot's value and whether the key is present.
+func (sl *slot) get(tx core.Tx) (uint64, bool, error) {
+	p, err := tx.Read(sl.present)
+	if err != nil || p == 0 {
+		return 0, false, err
+	}
+	v, err := tx.Read(sl.val)
+	if err != nil {
+		return 0, false, err
+	}
+	return v, true, nil
+}
+
+// exec applies op to the slot within tx. A CAS mismatch is reported in
+// the result (Swapped false); whether it aborts the batch is the
+// caller's policy.
+func (sl *slot) exec(tx core.Tx, op *Op) (res OpResult, err error) {
+	switch op.Kind {
+	case OpGet:
+		res.Val, res.Found, err = sl.get(tx)
+	case OpPut:
+		var p uint64
+		if p, err = tx.Read(sl.present); err != nil {
+			return res, err
+		}
+		if err = tx.Write(sl.val, op.Val); err == nil && p == 0 {
+			res.Found = true
+			err = tx.Write(sl.present, 1)
+		}
+	case OpDelete:
+		var p uint64
+		if p, err = tx.Read(sl.present); err == nil && p != 0 {
+			res.Found = true
+			err = tx.Write(sl.present, 0)
+		}
+	case OpCAS:
+		var cur uint64
+		cur, res.Found, err = sl.get(tx)
+		if err == nil && res.Found && cur == op.Old {
+			res.Swapped = true
+			err = tx.Write(sl.val, op.Val)
+		}
+	default:
+		err = fmt.Errorf("kv: unknown op kind %d", op.Kind)
+	}
+	return res, err
+}
+
+// shard is one key-space partition: a commit-order lock, a dirty epoch,
+// the handles it owns, and stats.
 type shard struct {
-	idx    *ds.Index
+	// handles lists the shard's handles in intern order, appended under
+	// Store.mu, so a per-shard dump reads only its own slots.
+	handles []uint64
+
 	ops    atomic.Int64 // committed operations that touched this shard
 	aborts atomic.Int64 // aborted attempts (retries) charged to this shard
 
@@ -141,20 +201,19 @@ type shard struct {
 	epoch atomic.Uint64
 }
 
-// New allocates a store with the given shard count and buckets per
-// shard (both rounded up to at least 1) on tm. The t-variables are
-// created on tm, so a store attached to a sim-mode engine records like
-// any other transactional structure.
-func New(tm core.TM, shards, bucketsPerShard int) *Store {
+// New allocates a store with the given shard count (rounded up to at
+// least 1) on tm. The third argument was the per-shard bucket count of
+// the index the store no longer has; it is ignored and kept only so
+// existing callers compile. The t-variables are created on tm, so a
+// store attached to a sim-mode engine records like any other
+// transactional structure.
+func New(tm core.TM, shards, _ int) *Store {
 	if shards < 1 {
 		shards = 1
 	}
-	if bucketsPerShard < 1 {
-		bucketsPerShard = 1
-	}
 	s := &Store{tm: tm}
 	for i := 0; i < shards; i++ {
-		s.shards = append(s.shards, &shard{idx: ds.NewIndex(tm, fmt.Sprintf("kv.s%d", i), bucketsPerShard)})
+		s.shards = append(s.shards, &shard{})
 	}
 	s.sessions.New = func() any { return s.NewSession() }
 	return s
@@ -164,10 +223,10 @@ func New(tm core.TM, shards, bucketsPerShard int) *Store {
 func (s *Store) Shards() int { return len(s.shards) }
 
 // intern returns the stable uint64 handle for key, assigning the next
-// dense handle on first use. Handles are never reclaimed: the store
-// follows the ds arena discipline (the paper's scope excludes epoch
-// reclamation), so the handle table grows with the set of distinct
-// keys ever touched.
+// dense handle — and allocating its slot's two t-variables — on first
+// use. Handles are never reclaimed (the paper's scope excludes epoch
+// reclamation), so the handle table grows with the set of distinct keys
+// ever touched; deleting and re-putting a key reuses its slot.
 func (s *Store) intern(key string) uint64 {
 	if h, ok := s.handles.Load(key); ok {
 		return h.(uint64)
@@ -177,34 +236,44 @@ func (s *Store) intern(key string) uint64 {
 	if h, ok := s.handles.Load(key); ok {
 		return h.(uint64)
 	}
-	s.nHandles++
-	var ks []string
-	if cur := s.keys.Load(); cur != nil {
-		ks = *cur
+	slots := s.table()
+	h := uint64(len(slots) + 1)
+	name := fmt.Sprintf("kv.h%d", h)
+	slots = append(slots, slot{
+		key:     key,
+		present: s.tm.NewVar(name+".present", 0),
+		val:     s.tm.NewVar(name+".val", 0),
+	})
+	sh := s.shards[s.shardOf(h)]
+	sh.handles = append(sh.handles, h)
+	// Publish the grown table before the handle becomes observable: any
+	// handle a caller holds must index a slot.
+	s.slots.Store(&slots)
+	s.handles.Store(key, h)
+	return h
+}
+
+// table returns the current handle table snapshot.
+func (s *Store) table() []slot {
+	if t := s.slots.Load(); t != nil {
+		return *t
 	}
-	ks = append(ks, key)
-	// Publish the grown reverse table before the handle becomes
-	// observable: KeyOf(h) must succeed for any handle a caller holds.
-	s.keys.Store(&ks)
-	s.handles.Store(key, s.nHandles)
-	return s.nHandles
+	return nil
 }
 
 // KeyOf resolves a handle back to its key (the inverse of
 // Session.Handle). It is lock-free and allocation-free — the
 // commit-hook path uses it to render write effects.
 func (s *Store) KeyOf(h uint64) (string, bool) {
-	ks := s.keys.Load()
-	if ks == nil || h == 0 || h > uint64(len(*ks)) {
+	slots := s.table()
+	if h == 0 || h > uint64(len(slots)) {
 		return "", false
 	}
-	return (*ks)[h-1], true
+	return slots[h-1].key, true
 }
 
-// shardOf maps a handle to its shard. The multiplier differs from the
-// bucket hash inside ds.Index (0x9E37...) on purpose: with both
-// derived from the same product, power-of-two shard and bucket counts
-// would correlate and leave most buckets of every shard unused.
+// shardOf maps a handle to its shard; the multiplier spreads the dense
+// handles evenly over any shard count.
 func (s *Store) shardOf(h uint64) int {
 	return int((h * 0xBF58476D1CE4E5B9) >> 33 % uint64(len(s.shards)))
 }
@@ -386,27 +455,19 @@ type Pair struct {
 func (s *Store) Dump(p *sim.Proc, opts ...core.RunOption) ([]Pair, error) {
 	// Snapshot the handle space first: keys interned after this point
 	// belong to transactions that will be replayed from the log anyway.
-	var n uint64
-	if ks := s.keys.Load(); ks != nil {
-		n = uint64(len(*ks))
-	}
-	if n == 0 {
+	slots := s.table()
+	if len(slots) == 0 {
 		return nil, nil
 	}
-	pairs := make([]Pair, 0, n)
+	pairs := make([]Pair, 0, len(slots))
 	attempts := 0
 	err := core.Run(s.tm, p, func(tx core.Tx) error {
 		attempts++
 		pairs = pairs[:0]
-		for h := uint64(1); h <= n; h++ {
-			idx := s.shards[s.shardOf(h)].idx
-			v, ok, err := idx.Lookup(tx, h)
-			if err != nil {
+		for i := range slots {
+			var err error
+			if pairs, err = slots[i].appendPair(tx, pairs); err != nil {
 				return err
-			}
-			if ok {
-				k, _ := s.KeyOf(h)
-				pairs = append(pairs, Pair{Key: k, Val: v})
 			}
 		}
 		return nil
@@ -422,38 +483,45 @@ func (s *Store) Dump(p *sim.Proc, opts ...core.RunOption) ([]Pair, error) {
 	return pairs, nil
 }
 
+// appendPair appends the slot's (key, value) to pairs if the key is
+// present as of tx.
+func (sl *slot) appendPair(tx core.Tx, pairs []Pair) ([]Pair, error) {
+	v, ok, err := sl.get(tx)
+	if err == nil && ok {
+		pairs = append(pairs, Pair{Key: sl.key, Val: v})
+	}
+	return pairs, err
+}
+
 // DumpShard reads every present key of one shard in its own read-only
 // transaction. The snapshot writer streams a cut shard by shard with
 // it: each shard's image is internally consistent (one transaction),
 // dumps of different shards overlap live write traffic instead of
 // freezing the whole store, and any write that lands between a shard's
 // dump and the cut sequence is repaired by the idempotent tail replay —
-// the same prefix-repair contract Dump relies on.
+// the same prefix-repair contract Dump relies on. Pairs are in the
+// order Dump lists them.
 func (s *Store) DumpShard(shard int) ([]Pair, error) {
-	var n uint64
-	if ks := s.keys.Load(); ks != nil {
-		n = uint64(len(*ks))
-	}
-	if n == 0 {
+	sh := s.shards[shard]
+	// Appends write past the header copied here, never under it, so the
+	// copy stays readable after the unlock; the table is loaded second
+	// and therefore covers every handle in it.
+	s.mu.Lock()
+	handles := sh.handles
+	s.mu.Unlock()
+	if len(handles) == 0 {
 		return nil, nil
 	}
-	sh := s.shards[shard]
+	slots := s.table()
 	var pairs []Pair
 	attempts := 0
 	err := core.Run(s.tm, nil, func(tx core.Tx) error {
 		attempts++
 		pairs = pairs[:0]
-		for h := uint64(1); h <= n; h++ {
-			if s.shardOf(h) != shard {
-				continue
-			}
-			v, ok, err := sh.idx.Lookup(tx, h)
-			if err != nil {
+		for _, h := range handles {
+			var err error
+			if pairs, err = slots[h-1].appendPair(tx, pairs); err != nil {
 				return err
-			}
-			if ok {
-				k, _ := s.KeyOf(h)
-				pairs = append(pairs, Pair{Key: k, Val: v})
 			}
 		}
 		return nil
@@ -489,20 +557,23 @@ func (s *Store) DirtyEpochLocked(i int) uint64 {
 	return e
 }
 
-// Len counts all entries atomically across every shard (a long
-// read-only transaction using the step-lean per-bucket counting path).
+// Len counts all present keys atomically (a long read-only transaction:
+// one read per key ever interned).
 func (s *Store) Len(p *sim.Proc, opts ...core.RunOption) (int, error) {
+	slots := s.table()
 	var n int
 	attempts := 0
 	err := core.Run(s.tm, p, func(tx core.Tx) error {
 		attempts++
 		n = 0
-		for _, sh := range s.shards {
-			c, err := sh.idx.Count(tx)
+		for i := range slots {
+			present, err := tx.Read(slots[i].present)
 			if err != nil {
 				return err
 			}
-			n += c
+			if present != 0 {
+				n++
+			}
 		}
 		return nil
 	}, opts...)

@@ -1,15 +1,15 @@
 package kv
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/sim"
 )
 
-// TxnLegacy is the PR 3 implementation of Txn, preserved verbatim: a
-// fresh five-slice plan, sort.SliceStable (interface header + closure
+// TxnLegacy is the PR 3 implementation of Txn's planning, preserved
+// (only the op switch follows the store onto its slots): a fresh
+// four-slice plan, sort.SliceStable (interface header + closure
 // per call), a fresh result slice and a per-call attempt closure, with
 // every key resolved through the global sync.Map intern table. It
 // exists only as the measured kv-layer baseline of experiment E10 —
@@ -27,30 +27,14 @@ func (s *Store) TxnLegacy(p *sim.Proc, ops []Op, opts ...core.RunOption) ([]OpRe
 	attempts := 0
 	err := core.Run(s.tm, p, func(tx core.Tx) error {
 		attempts++
+		slots := s.table()
 		for _, i := range pl.order {
-			op := ops[i]
-			idx := s.shards[pl.shards[i]].idx
-			h := pl.handles[i]
-			res := &results[i]
-			*res = OpResult{}
 			var err error
-			switch op.Kind {
-			case OpGet:
-				res.Val, res.Found, err = idx.Lookup(tx, h)
-			case OpPut:
-				res.Found, err = idx.Insert(tx, h, op.Val, &pl.spares[i])
-			case OpDelete:
-				res.Found, err = idx.Remove(tx, h)
-			case OpCAS:
-				res.Swapped, res.Found, err = idx.CompareAndSwap(tx, h, op.Old, op.Val)
-				if err == nil && !res.Swapped {
-					return ErrCASFailed
-				}
-			default:
-				return fmt.Errorf("kv: unknown op kind %d", op.Kind)
-			}
-			if err != nil {
+			if results[i], err = slots[pl.handles[i]-1].exec(tx, &ops[i]); err != nil {
 				return err
+			}
+			if ops[i].Kind == OpCAS && !results[i].Swapped {
+				return ErrCASFailed
 			}
 		}
 		return nil
@@ -86,7 +70,6 @@ func (s *Store) planLegacy(ops []Op) *txnPlan {
 		handles: make([]uint64, len(ops)),
 		shards:  make([]int, len(ops)),
 		order:   make([]int, len(ops)),
-		spares:  make([]uint64, len(ops)),
 		touched: make([]bool, len(s.shards)),
 	}
 	for i, op := range ops {

@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -17,9 +16,9 @@ import (
 // allocation.
 //
 // The private handle cache needs no invalidation protocol: handles are
-// never reclaimed (the store follows the ds arena discipline), so an
-// entry copied out of the global table stays correct forever. The
-// cache can only ever be *behind* the global table, never wrong.
+// never reclaimed, so an entry copied out of the global table stays
+// correct forever. The cache can only ever be *behind* the global
+// table, never wrong.
 //
 // A Session is NOT safe for concurrent use. Any number of sessions may
 // share one Store concurrently. Result slices returned by Txn and
@@ -90,31 +89,16 @@ func (se *Session) HandleBytes(key []byte) uint64 {
 // every session transaction (installed once as se.runFn).
 func (se *Session) attempt(tx core.Tx) error {
 	se.attempts++
-	s, ops, pl := se.s, se.ops, &se.pl
+	ops, pl := se.ops, &se.pl
+	slots := se.s.table()
 	for _, i := range pl.order {
-		op := &ops[i]
-		idx := s.shards[pl.shards[i]].idx
-		h := pl.handles[i]
-		res := &se.results[i]
-		*res = OpResult{}
-		var err error
-		switch op.Kind {
-		case OpGet:
-			res.Val, res.Found, err = idx.Lookup(tx, h)
-		case OpPut:
-			res.Found, err = idx.Insert(tx, h, op.Val, &pl.spares[i])
-		case OpDelete:
-			res.Found, err = idx.Remove(tx, h)
-		case OpCAS:
-			res.Swapped, res.Found, err = idx.CompareAndSwap(tx, h, op.Old, op.Val)
-			if err == nil && !res.Swapped && se.guard {
-				return ErrCASFailed
-			}
-		default:
-			return fmt.Errorf("kv: unknown op kind %d", op.Kind)
-		}
+		res, err := slots[pl.handles[i]-1].exec(tx, &ops[i])
+		se.results[i] = res
 		if err != nil {
 			return err
+		}
+		if ops[i].Kind == OpCAS && !res.Swapped && se.guard {
+			return ErrCASFailed
 		}
 	}
 	return nil
@@ -341,7 +325,6 @@ type txnPlan struct {
 	handles []uint64
 	shards  []int // shard index per op
 	order   []int // op indices sorted by (shard, handle), stable
-	spares  []uint64
 	touched []bool
 }
 
@@ -359,7 +342,6 @@ func (pl *txnPlan) fill(s *Store, in interner, ops []Op) {
 	pl.handles = grown(pl.handles, n)
 	pl.shards = grown(pl.shards, n)
 	pl.order = grown(pl.order, n)
-	pl.spares = grown(pl.spares, n)
 	pl.touched = grown(pl.touched, len(s.shards))
 	for i := range ops {
 		h := ops[i].Handle
@@ -369,10 +351,6 @@ func (pl *txnPlan) fill(s *Store, in interner, ops []Op) {
 		pl.handles[i] = h
 		pl.shards[i] = s.shardOf(h)
 		pl.order[i] = i
-		// A spare node handle must never outlive its batch: a committed
-		// insert links the node into a bucket list, and reusing it would
-		// splice a live node a second time.
-		pl.spares[i] = 0
 	}
 	pl.sortOrder()
 }

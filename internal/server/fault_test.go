@@ -14,7 +14,7 @@ import (
 // line too long` and the server closes the connection instead of
 // buffering the line without bound.
 func TestMaxLineTooLong(t *testing.T) {
-	s := startServer(t, Config{Engine: "nztm", Shards: 2, Buckets: 4, MaxLine: 1024})
+	s := startServer(t, Config{Engine: "nztm", Shards: 2, MaxLine: 1024})
 	nc, err := net.Dial("tcp", s.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -56,7 +56,7 @@ func TestMaxLineTooLong(t *testing.T) {
 // TestMaxLineLongButLegal: a line larger than the 16 KiB read buffer
 // but under MaxLine goes through the assembly path and still parses.
 func TestMaxLineLongButLegal(t *testing.T) {
-	s := startServer(t, Config{Engine: "nztm", Shards: 2, Buckets: 4, MaxLine: 64 << 10})
+	s := startServer(t, Config{Engine: "nztm", Shards: 2, MaxLine: 64 << 10})
 	cl, err := Dial(s.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -84,7 +84,7 @@ func TestReadonlyAfterWALFault(t *testing.T) {
 		Kind: faultfs.ErrIO, Target: faultfs.FileSync, After: 3,
 	})
 	s := startServer(t, Config{
-		Engine: "nztm", Shards: 2, Buckets: 4,
+		Engine: "nztm", Shards: 2,
 		WALDir: dir, Fsync: "always", WALFS: inj,
 	})
 	inj.Arm()
@@ -141,7 +141,7 @@ func TestReadonlyAfterWALFault(t *testing.T) {
 		t.Fatal("Close of a failed log should surface the latched error")
 	}
 	s2 := startServerNoCloseCheck(t, Config{
-		Engine: "nztm", Shards: 2, Buckets: 4, WALDir: dir, Fsync: "always",
+		Engine: "nztm", Shards: 2, WALDir: dir, Fsync: "always",
 	})
 	cl2, err := Dial(s2.Addr().String())
 	if err != nil {

@@ -74,7 +74,7 @@ func maskCounters(out string) string {
 // TestRuntimeEquivalenceCorpus replays the parser fuzz corpus as one
 // pipelined stream against both runtimes.
 func TestRuntimeEquivalenceCorpus(t *testing.T) {
-	ws, gs := bothRuntimes(t, Config{Engine: "nztm", Shards: 8, Buckets: 8, Batch: 3})
+	ws, gs := bothRuntimes(t, Config{Engine: "nztm", Shards: 8, Batch: 3})
 	script := strings.Join(parserCases, "\n") + "\nQUIT\n"
 	got := maskCounters(rawSession(t, ws.Addr().String(), script))
 	want := maskCounters(rawSession(t, gs.Addr().String(), script))
@@ -87,7 +87,7 @@ func TestRuntimeEquivalenceCorpus(t *testing.T) {
 // EXEC, DISCARD, errors inside a block, cross-shard batches (which the
 // worker runtime escalates), CAS guards, and interleaved control verbs.
 func TestRuntimeEquivalenceMulti(t *testing.T) {
-	ws, gs := bothRuntimes(t, Config{Engine: "nztm", Shards: 8, Buckets: 8, Batch: 3})
+	ws, gs := bothRuntimes(t, Config{Engine: "nztm", Shards: 8, Batch: 3})
 	var b strings.Builder
 	// Cross-shard EXEC: eight distinct keys span every shard, so with
 	// three workers this batch cannot be single-owner.
@@ -116,7 +116,7 @@ func TestRuntimeEquivalenceMulti(t *testing.T) {
 // The whole script is written as one chunk, so the worker parses it in
 // as few rounds as possible and every fold path actually fires.
 func TestRuntimeEquivalenceFolding(t *testing.T) {
-	ws, gs := bothRuntimes(t, Config{Engine: "nztm", Shards: 8, Buckets: 8, Batch: 3})
+	ws, gs := bothRuntimes(t, Config{Engine: "nztm", Shards: 8, Batch: 3})
 	script := strings.Join([]string{
 		// Read dedup: miss, then hit, each twice.
 		"GET f0", "GET f0",
@@ -185,7 +185,7 @@ func orderingWindows() [][]string {
 // against both runtimes over pipelining clients and requires identical
 // replies in identical order.
 func TestRuntimeEquivalenceOrderingStress(t *testing.T) {
-	ws, gs := bothRuntimes(t, Config{Engine: "nztm", Shards: 8, Buckets: 8, Batch: 3})
+	ws, gs := bothRuntimes(t, Config{Engine: "nztm", Shards: 8, Batch: 3})
 	wcl, err := Dial(ws.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestRuntimeEquivalenceOrderingStress(t *testing.T) {
 // requests are all accounted on one worker for the connection's whole
 // life — ownership never rebalances.
 func TestWorkerOwnershipStatic(t *testing.T) {
-	s := startServer(t, Config{Engine: "nztm", Shards: 6, Buckets: 8, Runtime: "worker", Workers: 3})
+	s := startServer(t, Config{Engine: "nztm", Shards: 6, Runtime: "worker", Workers: 3})
 	const conns = 9
 	cls := make([]*Client, conns)
 	for i := range cls {
@@ -278,7 +278,7 @@ func TestWorkerOwnershipStatic(t *testing.T) {
 // round execution and teardown interleaved. Afterwards every worker
 // must have processed traffic and all churned connections must be gone.
 func TestWorkerChurnSoak(t *testing.T) {
-	s := startServer(t, Config{Engine: "nztm", Shards: 8, Buckets: 8, Runtime: "worker", Workers: 2})
+	s := startServer(t, Config{Engine: "nztm", Shards: 8, Runtime: "worker", Workers: 2})
 	const churners, iters, reqsPerIter = 4, 25, 8
 	var wg sync.WaitGroup
 	for c := 0; c < churners; c++ {

@@ -64,8 +64,6 @@ type Config struct {
 	Engine string
 	// Shards is the store's shard count (default 8).
 	Shards int
-	// Buckets is the per-shard bucket count (default 16).
-	Buckets int
 	// Batch bounds how many pipelined unconditional requests are folded
 	// into one transaction (default 64; 1 disables batching).
 	Batch int
@@ -184,9 +182,6 @@ func (c *Config) fill() {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 8
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 16
 	}
 	if c.Batch <= 0 {
 		c.Batch = 64
@@ -309,7 +304,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		tm:    tm,
-		store: kv.New(tm, cfg.Shards, cfg.Buckets),
+		store: kv.New(tm, cfg.Shards, 0),
 		conns: map[net.Conn]struct{}{},
 	}
 	switch {

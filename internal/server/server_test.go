@@ -35,7 +35,7 @@ func startServer(t *testing.T, cfg Config) *Server {
 }
 
 func TestProtocolSession(t *testing.T) {
-	s := startServer(t, Config{Engine: "nztm", Shards: 4, Buckets: 4})
+	s := startServer(t, Config{Engine: "nztm", Shards: 4})
 	cl, err := Dial(s.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -80,7 +80,7 @@ func TestProtocolSession(t *testing.T) {
 }
 
 func TestMultiExec(t *testing.T) {
-	s := startServer(t, Config{Engine: "dstm", Shards: 4, Buckets: 4})
+	s := startServer(t, Config{Engine: "dstm", Shards: 4})
 	cl, err := Dial(s.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -124,7 +124,7 @@ func TestMultiExec(t *testing.T) {
 // connection and checks responses arrive in order with correct values
 // (the implicit GET/SET/DEL batching must not reorder or cross-talk).
 func TestPipelinedBatching(t *testing.T) {
-	s := startServer(t, Config{Engine: "nztm", Shards: 8, Buckets: 8, Batch: 16})
+	s := startServer(t, Config{Engine: "nztm", Shards: 8, Batch: 16})
 	cl, err := Dial(s.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -165,7 +165,7 @@ func TestPipelinedBatching(t *testing.T) {
 // an EXEC of n ops counts once (the PR 3 path counted its n+1 reply
 // lines), and blank lines count nothing.
 func TestRequestAccounting(t *testing.T) {
-	s := startServer(t, Config{Engine: "nztm", Shards: 4, Buckets: 4})
+	s := startServer(t, Config{Engine: "nztm", Shards: 4})
 	nc, err := net.Dial("tcp", s.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -206,7 +206,7 @@ func TestRequestAccounting(t *testing.T) {
 // been applied in order, across many batch-flush boundaries (Batch: 3
 // forces folds mid-window).
 func TestPipelinedOrderingStress(t *testing.T) {
-	s := startServer(t, Config{Engine: "nztm", Shards: 8, Buckets: 8, Batch: 3})
+	s := startServer(t, Config{Engine: "nztm", Shards: 8, Batch: 3})
 	cl, err := Dial(s.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -271,7 +271,7 @@ func TestPipelinedOrderingStress(t *testing.T) {
 // TestLoadSmoke is the in-process version of the CI smoke: concurrent
 // pipelined connections, every response checked, non-zero commits.
 func TestLoadSmoke(t *testing.T) {
-	s := startServer(t, Config{Engine: "nztm", Shards: 8, Buckets: 16})
+	s := startServer(t, Config{Engine: "nztm", Shards: 8})
 	stats, err := RunLoad(s.Addr().String(), 4, 250, 32)
 	if err != nil {
 		t.Fatalf("load: %v", err)
@@ -291,7 +291,7 @@ func TestLoadSmoke(t *testing.T) {
 // CAS counters with the invariant that total successes equal the final
 // value, through the wire path.
 func TestConcurrentConns(t *testing.T) {
-	s := startServer(t, Config{Engine: "dstm", Shards: 8, Buckets: 8})
+	s := startServer(t, Config{Engine: "dstm", Shards: 8})
 	boot, err := Dial(s.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)

@@ -24,7 +24,7 @@ import (
 
 func testSlowReaderSoak(t *testing.T, rtName string) {
 	s := startServer(t, Config{
-		Engine: "nztm", Shards: 8, Buckets: 8,
+		Engine: "nztm", Shards: 8,
 		Runtime: rtName, Workers: 2,
 		MaxPendingWrite: 64 << 10,
 		// Far beyond the test's runtime: the stalled conn must be held by
@@ -122,7 +122,7 @@ func TestSlowReaderSoakGoroutine(t *testing.T) { testSlowReaderSoak(t, "goroutin
 // a FLUSH header whose workers= field counts the FLUSHWORKER body
 // lines (zero on the goroutine runtime, which has no async path).
 func TestStatsFlushShape(t *testing.T) {
-	ws, gs := bothRuntimes(t, Config{Engine: "nztm", Shards: 8, Buckets: 8})
+	ws, gs := bothRuntimes(t, Config{Engine: "nztm", Shards: 8})
 
 	wcl, err := Dial(ws.Addr().String())
 	if err != nil {

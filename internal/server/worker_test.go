@@ -76,7 +76,7 @@ func deliver(w *worker, c *wconn, chunk string) {
 // connection is still paused, letting two further chunks race into the
 // single queue slot — the second silently overwriting the first.
 func TestWorkerPauseAtChunkBoundary(t *testing.T) {
-	_, w := newTestWorker(t, Config{Engine: "nztm", Shards: 4, Buckets: 4})
+	_, w := newTestWorker(t, Config{Engine: "nztm", Shards: 4})
 	c, cl := newTestWconn(w)
 	out := collect(cl)
 
@@ -113,7 +113,7 @@ func TestWorkerPauseAtChunkBoundary(t *testing.T) {
 // input has been re-parsed must queue behind it — parsing it first
 // would execute the client's pipelined requests out of order.
 func TestWorkerPausedBoundaryKeepsArrivalOrder(t *testing.T) {
-	_, w := newTestWorker(t, Config{Engine: "nztm", Shards: 4, Buckets: 4})
+	_, w := newTestWorker(t, Config{Engine: "nztm", Shards: 4})
 	c, cl := newTestWconn(w)
 	out := collect(cl)
 
@@ -140,7 +140,7 @@ func TestWorkerPausedBoundaryKeepsArrivalOrder(t *testing.T) {
 // TestWorkerMidChunkPauseOrder: held tail (rem) and queued chunk
 // (next) re-parse oldest first across the barrier.
 func TestWorkerMidChunkPauseOrder(t *testing.T) {
-	_, w := newTestWorker(t, Config{Engine: "nztm", Shards: 4, Buckets: 4})
+	_, w := newTestWorker(t, Config{Engine: "nztm", Shards: 4})
 	c, cl := newTestWconn(w)
 	out := collect(cl)
 
@@ -160,7 +160,7 @@ func TestWorkerMidChunkPauseOrder(t *testing.T) {
 // a third outstanding chunk impossible; the worker asserts that
 // instead of silently overwriting queued client input.
 func TestWorkerThirdChunkPanics(t *testing.T) {
-	_, w := newTestWorker(t, Config{Engine: "nztm", Shards: 4, Buckets: 4})
+	_, w := newTestWorker(t, Config{Engine: "nztm", Shards: 4})
 	c, cl := newTestWconn(w)
 	defer cl.Close()
 
@@ -180,7 +180,7 @@ func TestWorkerThirdChunkPanics(t *testing.T) {
 // contract is that reads keep working, and the goroutine runtime,
 // which never merges across connections, answers them successfully.
 func TestWorkerMergedBatchReadRetryFailStop(t *testing.T) {
-	s, w := newTestWorker(t, Config{Engine: "nztm", Shards: 4, Buckets: 4})
+	s, w := newTestWorker(t, Config{Engine: "nztm", Shards: 4})
 	if _, err := s.Store().Put(nil, "k", 7); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestWorkerMergedBatchReadRetryFailStop(t *testing.T) {
 // round's other connections get their replies undelayed.
 func TestWorkerFlushDeadline(t *testing.T) {
 	_, w := newTestWorker(t, Config{
-		Engine: "nztm", Shards: 4, Buckets: 4,
+		Engine: "nztm", Shards: 4,
 		FlushTimeout: 100 * time.Millisecond,
 	})
 	cs, cls := newTestWconn(w) // stalled: nobody drains the client end
@@ -257,7 +257,7 @@ func TestWorkerFlushDeadline(t *testing.T) {
 // the sequence is deterministic.
 func TestWorkerBackpressurePause(t *testing.T) {
 	_, w := newTestWorker(t, Config{
-		Engine: "nztm", Shards: 4, Buckets: 4,
+		Engine: "nztm", Shards: 4,
 		MaxPendingWrite: 8, // absurdly small: one PONG round trips it
 	})
 	c, cl := newTestWconn(w)

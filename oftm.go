@@ -336,9 +336,10 @@ const (
 var ErrKVCASFailed = kv.ErrCASFailed
 
 // NewKV allocates a sharded transactional key-value store on tm with
-// the given shard count and hash buckets per shard.
-func NewKV(tm TM, shards, bucketsPerShard int) *KV {
-	return kv.New(tm, shards, bucketsPerShard)
+// the given shard count. The third argument (once hash buckets per
+// shard) is ignored; it is kept so existing callers compile.
+func NewKV(tm TM, shards, _ int) *KV {
+	return kv.New(tm, shards, 0)
 }
 
 // SkipList is a transactional sorted set with logarithmic search.
