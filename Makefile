@@ -49,7 +49,7 @@ experiments:
 	@echo "Regenerating the E1..E16 experiment tables..."
 	@$(GO) run ./cmd/oftm-bench
 
-BENCH_JSON ?= BENCH_PR13.json
+BENCH_JSON ?= BENCH_PR14.json
 bench-json:
 	@echo "Measuring the perf-tracking grid into $(BENCH_JSON)..."
 	@$(GO) run ./cmd/oftm-bench -json $(BENCH_JSON)
@@ -62,7 +62,7 @@ bench-json:
 # bench-diff measures the working tree into BENCH_CUR (a scratch file,
 # so the checked-in record it gates against is never overwritten); a PR
 # that records a new grid runs bench-json and moves BASELINE to it.
-BASELINE ?= BENCH_PR13.json
+BASELINE ?= BENCH_PR14.json
 BENCH_CUR ?= /tmp/oftm-bench-cur.json
 bench-diff:
 	@echo "Measuring the perf-tracking grid into $(BENCH_CUR) and diffing against $(BASELINE) (fails on >25% ns/op regressions and on allocs/op above the baseline allowance — zero-alloc records must stay zero; workloads new since the baseline are skipped with a notice)..."
@@ -84,9 +84,10 @@ servebench:
 	@$(GO) run ./cmd/oftm-bench -servebench
 
 server-scale-smoke:
-	@echo "E15 smoke: truncated scaling grid (8/64 conns, 2 workers, 2 loadgen procs) with the allocs/req <= 1 gate, plus the slow-reader soak row..."
+	@echo "E15 smoke: truncated scaling grid (8/64 conns, 2 workers, 2 loadgen procs) with the allocs/req <= 1 gate, the 2-connection request/response row gated on inline rounds, plus the slow-reader soak row..."
 	@$(GO) run ./cmd/oftm-bench -exp E15 -procs 2 -scale-conns 8,64 -scale-workers 2 | tee /tmp/oftm-scale-smoke.out
 	@awk '/^(worker|goroutine) / { if ($$8 == "" || $$8+0 > 1) { print "allocs/req gate failed: " $$0; bad = 1 } } END { if (bad) exit 1; print "allocs/req <= 1 at every smoke grid point" }' /tmp/oftm-scale-smoke.out
+	@awk '/^reqresp-c2-worker / { seen = 1; if ($$6+0 < 1 || $$7/$$6 < 0.9 || $$8+0 != 0) { print "inline gate failed (want inline/rounds >= 0.9, dispatches = 0): " $$0; bad = 1 } } END { if (!seen) { print "inline gate: no reqresp-c2-worker row"; exit 1 }; if (bad) exit 1; print "2 request/response connections ran their rounds inline on the readers (inline/rounds >= 0.9, dispatches = 0)" }' /tmp/oftm-scale-smoke.out
 	@awk '/^soak-worker / { seen = 1; if ($$5 == "" || $$5+0 < 1 || $$6+0 != 0) { print "soak gate failed (want bp pauses >= 1, kills = 0): " $$0; bad = 1 } } END { if (!seen) { print "soak gate: no soak-worker row"; exit 1 }; if (bad) exit 1; print "slow reader held by backpressure (pauses >= 1, kills = 0)" }' /tmp/oftm-scale-smoke.out
 
 replication-smoke:

@@ -147,8 +147,8 @@ func runServer(cfg server.Config) {
 		fmt.Printf("  shard %2d: ops=%d aborts=%d\n", i, sh.Ops, sh.Aborts)
 	}
 	for i, w := range s.WorkerStats() {
-		fmt.Printf("  worker %2d: conns=%d reqs=%d rounds=%d escalations=%d dispatches=%d\n",
-			i, w.Conns, w.Requests, w.FlushRounds, w.Escalations, w.Dispatches)
+		fmt.Printf("  worker %2d: conns=%d reqs=%d rounds=%d escalations=%d dispatches=%d inline=%d\n",
+			i, w.Conns, w.Requests, w.FlushRounds, w.Escalations, w.Dispatches, w.InlineRounds)
 	}
 	if fs := s.FlushStats(); len(fs.Workers) > 0 {
 		fmt.Printf("  flush: sealed=%d pauses=%d kills=%d\n", fs.SealedBytes, fs.Pauses, fs.Kills)

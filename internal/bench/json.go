@@ -145,7 +145,8 @@ func WriteJSON(w io.Writer) error {
 		return err
 	}
 	rep.Records = append(rep.Records, wRecs...)
-	// Scaling rows (E13): both runtimes across the connection grid.
+	// Scaling rows (E13): both runtimes across the connection grid, plus
+	// the 2-connection low-occupancy pair (E18).
 	sRecs, err := scaleRecords()
 	if err != nil {
 		return err
@@ -186,7 +187,7 @@ func WriteServerJSON(w io.Writer) error {
 	}
 	recs = append(recs, rRecs...)
 	rep := Report{
-		Note:    "experiments E10/E11/E13/E14: loopback wire-path records (threads = connections); server-*-pr3 rows measure the preserved PR 3 legacy request path, server-*-wal-* rows the durability layer, server-scale-* rows the serving-runtime connection grid, server-repl-reads-r* rows the replication topology's aggregate read capacity (sequential per-node phases summed; 1-core container)",
+		Note:    "experiments E10/E11/E13/E14: loopback wire-path records (threads = connections); server-*-pr3 rows measure the preserved PR 3 legacy request path, server-*-wal-* rows the durability layer, server-scale-* rows the serving-runtime connection grid, server-{reqresp,pipelined}-c2-<runtime> rows its 2-connection low-occupancy pair (pipeline 1 and 32, wal-interval), server-repl-reads-r* rows the replication topology's aggregate read capacity (sequential per-node phases summed; 1-core container)",
 		Records: recs,
 	}
 	enc := json.NewEncoder(w)

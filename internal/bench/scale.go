@@ -86,7 +86,7 @@ func SetScaleOptions(o ScaleOptions) {
 	if o.Workers > 0 {
 		scaleOpts.Workers = o.Workers
 	}
-	scaleMemo = nil // a changed grid invalidates memoized results
+	scaleMemo, lowOccMemo = nil, nil // a changed grid invalidates memoized results
 }
 
 // scaleEngine is the grid engine; the runtime comparison needs one
@@ -268,6 +268,7 @@ func measureLoadProcs(srv *server.Server, res ServerResult, procs, conns, pipeli
 	res.Reqs = total
 	res.AllocsPerReq = float64(m1.Mallocs-m0.Mallocs) / float64(res.Reqs)
 	res.BytesPerReq = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(res.Reqs)
+	res.addWorkerStats(srv)
 	return res, nil
 }
 
@@ -366,31 +367,96 @@ func scaleNsPerReq(res ServerResult) float64 {
 	return float64(res.Elapsed.Nanoseconds()) / float64(res.Reqs)
 }
 
+// medianScalePoint measures one point benchRuns times and keeps the
+// median by scaleNsPerReq, like every other gated record (see bestOf):
+// single points swing enough on the 1-core runner to move the
+// worker/goroutine ratio itself.
+func medianScalePoint(c ScaleCase, pipeline, windows int) (ServerResult, error) {
+	var runs []ServerResult
+	for i := 0; i < benchRuns; i++ {
+		res, err := RunServerScale(c, scaleOpts.Procs, scaleOpts.Workers, pipeline, windows)
+		if err != nil {
+			return res, err
+		}
+		runs = append(runs, res)
+	}
+	sort.Slice(runs, func(i, j int) bool { return scaleNsPerReq(runs[i]) < scaleNsPerReq(runs[j]) })
+	return runs[(len(runs)-1)/2], nil
+}
+
 func runScaleGrid() []scaleMeasurement {
 	if scaleMemo != nil {
 		return scaleMemo
 	}
 	for _, c := range scaleGrid() {
-		// Each point is the median of benchRuns measurements, like every
-		// other gated record (see bestOf): single points swing enough on
-		// the 1-core runner to move the worker/goroutine ratio itself.
 		m := scaleMeasurement{c: c}
-		var runs []ServerResult
-		for i := 0; i < benchRuns; i++ {
-			res, err := RunServerScale(c, scaleOpts.Procs, scaleOpts.Workers, scalePipeline, scaleWindows(c.Conns))
-			if err != nil {
-				m.err = err
-				break
-			}
-			runs = append(runs, res)
-		}
-		if m.err == nil {
-			sort.Slice(runs, func(i, j int) bool { return scaleNsPerReq(runs[i]) < scaleNsPerReq(runs[j]) })
-			m.res = runs[(len(runs)-1)/2]
-		}
+		m.res, m.err = medianScalePoint(c, scalePipeline, scaleWindows(c.Conns))
 		scaleMemo = append(scaleMemo, m)
 	}
 	return scaleMemo
+}
+
+// The low-occupancy pair: two connections, wal-interval, one request
+// per round trip (reqresp) and windows of scalePipeline (pipelined), on
+// both runtimes. The scaling grid starts at 8 connections, where rounds
+// already merge; at 2 a request's cost is the goroutine hand-offs
+// between its read and its reply, which is the regime the worker
+// runtime's inline rounds serve (EXPERIMENTS.md E18) and the one the
+// benchmark of record drives.
+const lowOccConns = 2
+
+type lowOccPoint struct {
+	name     string // workload stem: reqresp | pipelined
+	pipeline int
+	c        ScaleCase
+	res      ServerResult
+	err      error
+}
+
+// row names the point in E15's table; the JSON record is server-<row>.
+func (p lowOccPoint) row() string {
+	return fmt.Sprintf("%s-c%d-%s", p.name, lowOccConns, p.c.Runtime)
+}
+
+var lowOccMemo []lowOccPoint
+
+func runLowOcc() []lowOccPoint {
+	if lowOccMemo != nil {
+		return lowOccMemo
+	}
+	for _, rt := range []string{"goroutine", "worker"} {
+		for _, p := range []lowOccPoint{{name: "reqresp", pipeline: 1}, {name: "pipelined", pipeline: scalePipeline}} {
+			p.c = ScaleCase{Runtime: rt, Conns: lowOccConns, Shards: srvShards, Fsync: "interval"}
+			// ~1 s of load either way: a round trip costs what ~32
+			// pipelined requests do.
+			p.res, p.err = medianScalePoint(p.c, p.pipeline, 16384)
+			lowOccMemo = append(lowOccMemo, p)
+		}
+	}
+	return lowOccMemo
+}
+
+// lowOccTable renders the pair with the worker counters that show
+// where the rounds ran; `make server-scale-smoke` gates the
+// reqresp worker row on inline/rounds >= 0.9 and dispatches == 0.
+func lowOccTable(w io.Writer) {
+	t := NewTable(fmt.Sprintf("Low occupancy — %d conns, wal-interval, %d loadgen proc(s)", lowOccConns, scaleOpts.Procs),
+		"row", "pipeline", "req/s", "cpu us/req", "allocs/req", "rounds", "inline", "dispatches")
+	for _, p := range runLowOcc() {
+		if p.err != nil {
+			fmt.Fprintf(w, "%s: %v\n", p.row(), p.err)
+			continue
+		}
+		t.Add(p.row(), fmt.Sprint(p.pipeline),
+			fmt.Sprintf("%.0f", p.res.ReqsPerSec()),
+			fmt.Sprintf("%.2f", scaleNsPerReq(p.res)/1e3),
+			fmt.Sprintf("%.2f", p.res.AllocsPerReq),
+			fmt.Sprint(p.res.Rounds), fmt.Sprint(p.res.InlineRounds), fmt.Sprint(p.res.Dispatches))
+	}
+	fmt.Fprint(w, t.String())
+	fmt.Fprintln(w, "A lone request/response connection per worker should run every round inline on its")
+	fmt.Fprintln(w, "reader (inline ~ rounds) and never dispatch; cpu us/req is server CPU with -procs > 1.")
+	fmt.Fprintln(w)
 }
 
 // E13 measures the connection-scaling grid and reports both runtimes
@@ -451,26 +517,31 @@ func E13(w io.Writer) {
 // <wal>, threads = connections. These rows are what bench-diff gates.
 func scaleRecords() ([]Record, error) {
 	var recs []Record
+	// ns/op records server CPU per request when the load ran in child
+	// processes (the stable, machine-comparable figure); wall time
+	// otherwise (scaleNsPerReq). ops/s stays wall-clock throughput.
+	rec := func(c ScaleCase, workload string, res ServerResult) Record {
+		return Record{
+			Engine:      c.engine(),
+			Workload:    workload,
+			Threads:     c.Conns,
+			NsPerOp:     scaleNsPerReq(res),
+			AllocsPerOp: int64(res.AllocsPerReq + 0.5),
+			BytesPerOp:  int64(res.BytesPerReq + 0.5),
+			OpsPerSec:   res.ReqsPerSec(),
+		}
+	}
 	for _, m := range runScaleGrid() {
 		if m.err != nil {
 			return nil, fmt.Errorf("bench: scale %s c%d s%d %s: %w", m.c.Runtime, m.c.Conns, m.c.Shards, m.c.walLabel(), m.err)
 		}
-		// ns/op records server CPU per request when the load ran in
-		// child processes (the stable, machine-comparable figure);
-		// wall time otherwise. ops/s stays wall-clock throughput.
-		nsPerOp := float64(m.res.Elapsed.Nanoseconds()) / float64(m.res.Reqs)
-		if scaleOpts.Procs > 1 && m.res.CPUSec > 0 {
-			nsPerOp = m.res.CPUSec * 1e9 / float64(m.res.Reqs)
+		recs = append(recs, rec(m.c, fmt.Sprintf("server-scale-%s-s%d-%s", m.c.Runtime, m.c.Shards, m.c.walLabel()), m.res))
+	}
+	for _, p := range runLowOcc() {
+		if p.err != nil {
+			return nil, fmt.Errorf("bench: %s: %w", p.row(), p.err)
 		}
-		recs = append(recs, Record{
-			Engine:      m.c.engine(),
-			Workload:    fmt.Sprintf("server-scale-%s-s%d-%s", m.c.Runtime, m.c.Shards, m.c.walLabel()),
-			Threads:     m.c.Conns,
-			NsPerOp:     nsPerOp,
-			AllocsPerOp: int64(m.res.AllocsPerReq + 0.5),
-			BytesPerOp:  int64(m.res.BytesPerReq + 0.5),
-			OpsPerSec:   m.res.ReqsPerSec(),
-		})
+		recs = append(recs, rec(p.c, "server-"+p.row(), p.res))
 	}
 	return recs, nil
 }

@@ -60,6 +60,20 @@ type ServerResult struct {
 	// the in-process generator (procs = 1) the figure includes the
 	// client's CPU and is only indicative.
 	CPUSec float64
+	// Rounds, InlineRounds and Dispatches sum the worker runtime's
+	// STATS WORKERS counters over the server's life (zero on the
+	// goroutine runtime): sealed rounds, how many of them ran inline on
+	// a connection's reader, and cross-worker unit-list sends.
+	Rounds, InlineRounds, Dispatches int64
+}
+
+// addWorkerStats records srv's worker counters; call before Close.
+func (r *ServerResult) addWorkerStats(srv *server.Server) {
+	for _, w := range srv.WorkerStats() {
+		r.Rounds += w.FlushRounds
+		r.InlineRounds += w.InlineRounds
+		r.Dispatches += w.Dispatches
+	}
 }
 
 // ReqsPerSec returns acknowledged request throughput.
@@ -328,6 +342,7 @@ func measureLoad(srv *server.Server, keys []string, res ServerResult, conns, pip
 	res.Reqs = int64(conns) * int64(windows) * int64(pipeline)
 	res.AllocsPerReq = float64(m1.Mallocs-m0.Mallocs) / float64(res.Reqs)
 	res.BytesPerReq = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(res.Reqs)
+	res.addWorkerStats(srv)
 	return res, nil
 }
 

@@ -246,6 +246,8 @@ func E15(w io.Writer) {
 	fmt.Fprintf(w, "  allocs/req <= 0.2 on nztm wal-off:     max %.2f %s\n", nztmOffMax, pass(nztmOffMax <= 0.2))
 	fmt.Fprintln(w)
 
+	lowOccTable(w)
+
 	st := NewTable(fmt.Sprintf("Slow-reader soak — 1 of %d conns bursts %d GETs and never reads (windows of %d x %d reqs)",
 		soakConns, soakBurst, soakWindows, scalePipeline),
 		"soak", "conns", "healthy req/s", "worst window", "bp pauses", "kills")

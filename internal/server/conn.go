@@ -650,8 +650,8 @@ func renderWorkerStats(w *bufio.Writer, s *Server) {
 	ws := s.WorkerStats()
 	fmt.Fprintf(w, "WORKERS %d\n", len(ws))
 	for i, st := range ws {
-		fmt.Fprintf(w, "WORKER %d conns=%d reqs=%d rounds=%d escalations=%d dispatches=%d\n",
-			i, st.Conns, st.Requests, st.FlushRounds, st.Escalations, st.Dispatches)
+		fmt.Fprintf(w, "WORKER %d conns=%d reqs=%d rounds=%d escalations=%d dispatches=%d inline=%d\n",
+			i, st.Conns, st.Requests, st.FlushRounds, st.Escalations, st.Dispatches, st.InlineRounds)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/faultfs"
@@ -77,53 +78,94 @@ func TestMaxLineLongButLegal(t *testing.T) {
 // failure, no write is ever acknowledged and then lost — the failing
 // write and everything after it answer `ERR readonly`, reads keep
 // working, and a restart over the same directory serves every write
-// that was acknowledged.
+// that was acknowledged. It runs at one and at two request/response
+// connections (one per worker): the occupancy where every round runs
+// inline on a reader, and at two the WAL sees concurrent committers.
 func TestReadonlyAfterWALFault(t *testing.T) {
+	for _, conns := range []int{1, 2} {
+		t.Run(fmt.Sprintf("c%d", conns), func(t *testing.T) { testReadonlyAfterWALFault(t, conns) })
+	}
+}
+
+func testReadonlyAfterWALFault(t *testing.T, conns int) {
 	dir := t.TempDir()
 	inj := faultfs.NewInjector(faultfs.OS, faultfs.Plan{
 		Kind: faultfs.ErrIO, Target: faultfs.FileSync, After: 3,
 	})
 	s := startServer(t, Config{
-		Engine: "nztm", Shards: 2,
+		Engine: "nztm", Shards: 2, Runtime: "worker", Workers: 2,
 		WALDir: dir, Fsync: "always", WALFS: inj,
 	})
 	inj.Arm()
 
-	cl, err := Dial(s.Addr().String())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer cl.Close()
-
-	acked := map[string]uint64{}
-	sawReadonly := false
-	for i := 0; i < 10; i++ {
-		key, val := fmt.Sprintf("k%02d", i), uint64(i+1)
-		resp, err := cl.Do(fmt.Sprintf("SET %s %d", key, val))
+	cls := make([]*Client, conns)
+	for ci := range cls {
+		cl, err := Dial(s.Addr().String())
 		if err != nil {
-			t.Fatalf("SET %d: transport error %v", i, err)
+			t.Fatalf("dial: %v", err)
 		}
-		switch {
-		case strings.HasPrefix(resp[0], "OK"):
-			if sawReadonly {
-				t.Fatalf("SET %s acked after the server went readonly", key)
+		defer cl.Close()
+		cls[ci] = cl
+	}
+
+	// Each connection writes its own keys, one request per round trip.
+	acked := make([]map[string]uint64, conns)
+	sawReadonly := make([]bool, conns)
+	errs := make([]error, conns)
+	var wg sync.WaitGroup
+	for ci, cl := range cls {
+		ci, cl := ci, cl
+		acked[ci] = map[string]uint64{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				key, val := fmt.Sprintf("c%dk%02d", ci, i), uint64(i+1)
+				resp, err := cl.Do(fmt.Sprintf("SET %s %d", key, val))
+				switch {
+				case err != nil:
+					errs[ci] = fmt.Errorf("SET %s: transport error %w", key, err)
+					return
+				case strings.HasPrefix(resp[0], "OK"):
+					if sawReadonly[ci] {
+						errs[ci] = fmt.Errorf("SET %s acked after the connection saw ERR readonly", key)
+						return
+					}
+					acked[ci][key] = val
+				case strings.HasPrefix(resp[0], "ERR readonly"):
+					sawReadonly[ci] = true
+				default:
+					errs[ci] = fmt.Errorf("SET %s: unexpected reply %q", key, resp[0])
+					return
+				}
 			}
-			acked[key] = val
-		case strings.HasPrefix(resp[0], "ERR readonly"):
-			sawReadonly = true
-		default:
-			t.Fatalf("SET %s: unexpected reply %q", key, resp[0])
+		}()
+	}
+	wg.Wait()
+	all := map[string]uint64{}
+	for ci := range cls {
+		if errs[ci] != nil {
+			t.Fatal(errs[ci])
+		}
+		if !sawReadonly[ci] {
+			t.Fatalf("conn %d: injected fsync failure never surfaced as ERR readonly", ci)
+		}
+		for k, v := range acked[ci] {
+			all[k] = v
 		}
 	}
-	if !sawReadonly {
-		t.Fatal("injected fsync failure never surfaced as ERR readonly")
-	}
-	if len(acked) == 0 {
+	if len(all) == 0 {
 		t.Fatal("no write acked before the fault (After=3 should allow some)")
 	}
+	cl := cls[0]
 	// Reads still serve.
-	if resp, err := cl.Do("GET k00", "PING", "LEN"); err != nil ||
-		resp[0] != "VALUE 1" || resp[1] != "PONG" {
+	var someKey string
+	var someVal uint64
+	for someKey, someVal = range all {
+		break
+	}
+	if resp, err := cl.Do("GET "+someKey, "PING", "LEN"); err != nil ||
+		resp[0] != fmt.Sprintf("VALUE %d", someVal) || resp[1] != "PONG" {
 		t.Fatalf("reads after readonly: %v, %v", resp, err)
 	}
 	// A MULTI..EXEC with writes must also refuse.
@@ -134,6 +176,10 @@ func TestReadonlyAfterWALFault(t *testing.T) {
 	if !strings.HasPrefix(resp[2], "ERR readonly") {
 		t.Fatalf("EXEC with writes while readonly: %q", resp[2])
 	}
+
+	// All of the above ran on request/response connections over idle
+	// workers, i.e. as inline rounds: the ack boundary holds there.
+	wantInline(t, s)
 
 	// Restart over the same directory with a healthy disk: every
 	// acknowledged write must be there.
@@ -148,7 +194,7 @@ func TestReadonlyAfterWALFault(t *testing.T) {
 		t.Fatalf("dial recovered: %v", err)
 	}
 	defer cl2.Close()
-	for key, val := range acked {
+	for key, val := range all {
 		got, found, err := cl2.Get(key)
 		if err != nil || !found || got != val {
 			t.Fatalf("acked write %s=%d lost: got %d found=%v err=%v", key, val, got, found, err)

@@ -10,6 +10,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/kv"
 )
 
 // Runtime equivalence: the worker runtime and the goroutine-per-
@@ -50,6 +52,22 @@ func rawSession(t *testing.T, addr, script string) string {
 	return string(out)
 }
 
+// wantInline fails the test unless the worker-runtime server took the
+// inline fast path: these suites run one connection against an idle
+// worker, so every round should have — and if that ever stops, they
+// silently stop covering the path most low-occupancy traffic takes.
+func wantInline(t *testing.T, s *Server) {
+	t.Helper()
+	var inline, rounds int64
+	for _, w := range s.WorkerStats() {
+		inline += w.InlineRounds
+		rounds += w.FlushRounds
+	}
+	if inline == 0 {
+		t.Fatalf("no inline round among %d: the suite no longer covers the reader fast path", rounds)
+	}
+}
+
 // maskCounters rewrites counter-bearing reply lines so the two
 // runtimes' streams can be compared byte for byte everywhere else.
 func maskCounters(out string) string {
@@ -81,6 +99,7 @@ func TestRuntimeEquivalenceCorpus(t *testing.T) {
 	if got != want {
 		t.Fatalf("corpus reply streams diverge:\nworker:\n%s\ngoroutine:\n%s", got, want)
 	}
+	wantInline(t, ws)
 }
 
 // TestRuntimeEquivalenceMulti covers the MULTI/EXEC surface: empty
@@ -108,6 +127,7 @@ func TestRuntimeEquivalenceMulti(t *testing.T) {
 	if got != want {
 		t.Fatalf("multi reply streams diverge:\nworker:\n%s\ngoroutine:\n%s", got, want)
 	}
+	wantInline(t, ws)
 }
 
 // TestRuntimeEquivalenceFolding pins the worker runtime's round-local
@@ -140,6 +160,7 @@ func TestRuntimeEquivalenceFolding(t *testing.T) {
 	if got != want {
 		t.Fatalf("folding reply streams diverge:\nworker:\n%s\ngoroutine:\n%s", got, want)
 	}
+	wantInline(t, ws)
 }
 
 // orderingWindows regenerates the TestPipelinedOrderingStress request
@@ -210,6 +231,93 @@ func TestRuntimeEquivalenceOrderingStress(t *testing.T) {
 				t.Fatalf("window %d req %d (%s): worker %q, goroutine %q",
 					w, i, reqs[i], wresps[i], gresps[i])
 			}
+		}
+	}
+	wantInline(t, ws)
+}
+
+// TestInlineSharedShardCommitOrder: two request/response connections on
+// different workers write the same keys of ONE shard. Routing by owner
+// used to keep that shard's commit-order lock uncontended; with inline
+// rounds both workers' sessions commit to it concurrently, and the
+// lock is what keeps hook (WAL append) order equal to commit order.
+// Replaying the hook's log must reproduce the store's final state.
+func TestInlineSharedShardCommitOrder(t *testing.T) {
+	s := startServer(t, Config{Engine: "nztm", Shards: 4, Runtime: "worker", Workers: 2})
+	se := s.Store().NewSession()
+	var keys []string
+	for i := 0; len(keys) < 3; i++ {
+		if k := fmt.Sprintf("hot%d", i); s.Store().ShardOf(se.Handle(k)) == 0 {
+			keys = append(keys, k)
+		}
+	}
+	var mu sync.Mutex
+	replay := map[string]uint64{}
+	s.Store().SetCommitHook(func(effs []kv.Effect) error {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, e := range effs {
+			if e.Del {
+				delete(replay, e.Key)
+			} else {
+				replay[e.Key] = e.Val
+			}
+		}
+		return nil
+	})
+
+	const conns, ops = 2, 1500
+	var wg sync.WaitGroup
+	errs := make([]error, conns)
+	for ci := 0; ci < conns; ci++ {
+		cl, err := Dial(s.Addr().String()) // accept order = worker order
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if _, err := cl.Do("PING"); err != nil {
+			t.Fatal(err)
+		}
+		ci := ci
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				req := fmt.Sprintf("SET %s %d", keys[i%len(keys)], ci*ops+i+1)
+				if i%7 == 6 {
+					req = "DEL " + keys[i%len(keys)]
+				}
+				if _, err := cl.Do(req); err != nil {
+					errs[ci] = err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for ci, err := range errs {
+		if err != nil {
+			t.Fatalf("conn %d: %v", ci, err)
+		}
+	}
+	for i, w := range s.WorkerStats() {
+		if w.InlineRounds == 0 {
+			t.Fatalf("worker %d ran no inline round — the shard was never shared: %+v", i, w)
+		}
+		if w.Dispatches != 0 {
+			t.Fatalf("worker %d dispatched %d unit lists; request/response rounds should all run inline", i, w.Dispatches)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, k := range keys {
+		v, found, err := s.Store().Get(nil, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rv, rfound := replay[k]
+		if v != rv || found != rfound {
+			t.Fatalf("hook replay of %s = (%d,%v), store says (%d,%v) — hook order diverged from commit order", k, rv, rfound, v, found)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -171,5 +172,63 @@ func TestStatsFlushShape(t *testing.T) {
 	const want = "FLUSH workers=0 conn=0 pending=0 sealed=0 queue=0 pauses=0 kills=0"
 	if resp[0] != want {
 		t.Fatalf("goroutine-runtime STATS FLUSH = %q, want %q", resp[0], want)
+	}
+}
+
+// TestStatsWorkersShape pins the STATS WORKERS wire shape on both
+// runtimes: a WORKERS <n> header and n WORKER lines of key=value
+// counters in a fixed order, inline= last (it was appended after
+// clients existed that read the others by name).
+func TestStatsWorkersShape(t *testing.T) {
+	ws, gs := bothRuntimes(t, Config{Engine: "nztm", Shards: 8})
+
+	wcl, err := Dial(ws.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wcl.Close()
+	// A request/response round first, so the counters are not all zero
+	// (the STATS round's own tally lands after it renders).
+	if _, err := wcl.Do("SET a 1"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := wcl.Do("STATS WORKERS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := strings.Split(resp[0], "; ")
+	if len(parts) != 4 || parts[0] != "WORKERS 3" { // bothRuntimes: 3 workers
+		t.Fatalf("worker-runtime STATS WORKERS = %q, want WORKERS 3 + 3 WORKER lines", resp[0])
+	}
+	line := regexp.MustCompile(`^WORKER (\d+) conns=\d+ reqs=\d+ rounds=(\d+) escalations=\d+ dispatches=\d+ inline=(\d+)$`)
+	var rounds, inline int64
+	for i, ln := range parts[1:] {
+		m := line.FindStringSubmatch(ln)
+		if m == nil || m[1] != fmt.Sprint(i) {
+			t.Fatalf("WORKER line %d = %q", i, ln)
+		}
+		var r, in int64
+		fmt.Sscan(m[2], &r)
+		fmt.Sscan(m[3], &in)
+		if in > r {
+			t.Fatalf("WORKER line %d counts more inline rounds than rounds: %q", i, ln)
+		}
+		rounds, inline = rounds+r, inline+in
+	}
+	if rounds == 0 || inline == 0 {
+		t.Fatalf("rounds=%d inline=%d after a request/response round on an idle worker, want both > 0: %q", rounds, inline, resp[0])
+	}
+
+	gcl, err := Dial(gs.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gcl.Close()
+	resp, err = gcl.Do("STATS WORKERS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp[0] != "WORKERS 0" {
+		t.Fatalf("goroutine-runtime STATS WORKERS = %q, want %q", resp[0], "WORKERS 0")
 	}
 }

@@ -40,9 +40,24 @@ import (
 // Each round the worker dispatches the unit lists to their owners,
 // executes its own inline, and waits for the peers — servicing their
 // unit lists while it waits, so crossing dispatches cannot deadlock.
-// Because a shard's units are only ever executed by its owner, the
-// per-shard commit-order locks of PR 5 are uncontended on this path by
-// construction; only escalations ever take more than one.
+//
+// Every round runs under the worker's baton (a mutex), and the loop
+// goroutine is not the only one that may hold it. A connection's
+// reader, straight after nc.Read, tries the baton and — when the worker
+// is idle — runs its chunk as a complete round on its own goroutine:
+// parse, execute every unit on this worker's session (other owners'
+// too: no dispatch, no barrier, so an inline round waits on nobody),
+// escalations, render, seal. That takes the reader → mailbox → worker →
+// peer → worker hand-offs out of a lone request's path; see tryInline
+// for the eligibility rule and why per-connection order survives it.
+// So a shard's units run on its owner's loop or on a baton-holding
+// reader of any worker. Nothing relies on ownership for safety: the
+// engine makes concurrent access to a t-variable safe (that is the
+// paper's point — any process running without step contention commits),
+// kv's per-shard commit-order locks keep WAL append order equal to
+// commit order when two sessions do meet on a shard, and routing by
+// owner is purely what makes those locks and the engine's conflict
+// paths rarely contended when many connections are busy.
 //
 // Replies render from per-connection slot queues in request order and
 // every touched connection is sealed exactly once per round — all of
@@ -188,8 +203,10 @@ type escal struct {
 
 // wconn is one connection's state, owned by exactly one worker for the
 // connection's whole life (static assignment — the churn soak pins
-// this). The reader goroutine only touches nc, bufs, ack and mb; the
-// flusher pool touches nc and the fmu-guarded fields.
+// this). "The worker" is whoever holds its baton: the loop goroutine or
+// a reader running an inline round. Outside the baton the reader
+// goroutine only touches nc, bufs, cur, sent, ack and mb; the flusher
+// pool touches nc and the fmu-guarded fields.
 type wconn struct {
 	w  *worker
 	nc net.Conn
@@ -206,6 +223,10 @@ type wconn struct {
 	// maximum outstanding chunks, so acking never blocks the worker).
 	bufs [2][]byte
 	ack  chan struct{}
+	// cur is the buffer the reader fills next; sent[i] records that
+	// bufs[i]'s chunk was delivered and its ack not yet received.
+	cur  int
+	sent [2]bool
 
 	// carry assembles a line split across chunks (always a copy, so
 	// chunks can be acked while a partial line is pending). rem is the
@@ -311,6 +332,16 @@ type worker struct {
 	rt   *workerRuntime
 	sess *kv.Session
 
+	// baton guards every field below that is not atomic or a channel,
+	// and the worker-owned state of this worker's connections: a round
+	// runs start to finish under it, on the loop goroutine or inline on
+	// a reader (tryInline). pending is empty whenever it is released.
+	baton sync.Mutex
+	// crowded records that the loop's last round served more than one
+	// connection: merged cross-connection rounds are paying off, so
+	// readers keep feeding the mailbox instead of fragmenting them.
+	crowded atomic.Bool
+
 	// dataCh carries reader and flusher traffic (data/EOF/resume/dead);
 	// ctrlCh carries peer dispatch traffic (units/done). They are
 	// separate so the round barrier can wait on peers without consuming
@@ -377,8 +408,7 @@ type worker struct {
 	// yields the round takes to let runnable readers deliver before it
 	// closes. It grows (to maxGatherSpins) while the last yield of a
 	// round still surfaced new chunks with budget to spare, and shrinks
-	// back toward 1 when the first yield comes up empty — so idle and
-	// single-connection workers pay no extra latency.
+	// back toward 1 when the first yield comes up empty.
 	gatherSpins int
 
 	// Counters (read cross-worker by STATS WORKERS / STATS FLUSH and
@@ -388,6 +418,7 @@ type worker struct {
 	rounds    atomic.Int64
 	escals    atomic.Int64
 	dispatchN atomic.Int64 // cross-worker unit-list dispatches (≤ peers per round)
+	inlineN   atomic.Int64 // rounds that ran inline on a reader (counted in rounds too)
 
 	// Async-flush counters (see flusher.go).
 	pendBytes   atomic.Int64
@@ -469,9 +500,10 @@ func (rt *workerRuntime) stopAll() {
 	rt.fl.stop()
 }
 
-// serve is the reader loop: it runs on the accept goroutine, shipping
-// raw chunks to the connection's worker and recycling its two buffers
-// as the worker acks them. Assignment is round-robin and permanent.
+// serve is the reader loop: it runs on the accept goroutine, handing
+// raw chunks to the connection's worker (deliver) and recycling its two
+// buffers as the worker acks them. Assignment is round-robin and
+// permanent.
 func (rt *workerRuntime) serve(nc net.Conn) {
 	w := rt.workers[int(rt.next.Add(1)-1)%len(rt.workers)]
 	c := &wconn{
@@ -489,26 +521,85 @@ func (rt *workerRuntime) serve(nc net.Conn) {
 	c.bufs[0] = make([]byte, 16<<10)
 	c.bufs[1] = make([]byte, 16<<10)
 	w.connsN.Add(1)
-	var cur int
-	var sent [2]bool
 	for {
-		if sent[cur] {
-			// The worker still owns this buffer's previous chunk; acks
-			// arrive in chunk order, so the first ack frees exactly it.
-			<-c.ack
-			sent[cur] = false
-		}
-		n, err := nc.Read(c.bufs[cur])
+		buf := c.nextBuf()
+		n, err := nc.Read(buf)
 		if n > 0 {
-			c.mb <- wmsg{kind: wmData, c: c, buf: c.bufs[cur][:n]}
-			sent[cur] = true
-			cur ^= 1
+			c.deliver(buf[:n])
 		}
 		if err != nil {
 			c.mb <- wmsg{kind: wmEOF, c: c}
 			return
 		}
 	}
+}
+
+// nextBuf returns the reader's next chunk buffer, first waiting out the
+// ack of the chunk it last carried: acks arrive in chunk order, so the
+// first one frees exactly it.
+func (c *wconn) nextBuf() []byte {
+	if c.sent[c.cur] {
+		<-c.ack
+		c.sent[c.cur] = false
+	}
+	return c.bufs[c.cur]
+}
+
+// deliver hands the chunk just read into nextBuf's buffer to the
+// worker — as an inline round on this goroutine when the worker is
+// idle, through the mailbox otherwise. Either way the chunk is acked
+// through c.ack once consumed. A connection with an un-acked chunk
+// still outstanding never goes inline: that chunk may be sitting in the
+// mailbox (or held behind a pause), and chunk k+1 must not overtake
+// chunk k.
+func (c *wconn) deliver(buf []byte) {
+	prev := c.cur ^ 1
+	if c.sent[prev] {
+		select {
+		case <-c.ack:
+			c.sent[prev] = false
+		default:
+		}
+	}
+	if c.sent[prev] || !c.w.tryInline(c, buf) {
+		c.mb <- wmsg{kind: wmData, c: c, buf: buf}
+	}
+	c.sent[c.cur] = true
+	c.cur = prev
+}
+
+// tryInline runs c's chunk as complete rounds on the calling reader's
+// goroutine and reports whether it did. Eligibility is what the worker
+// observes, not configuration: the baton is free (no round in
+// progress), the mailbox is empty (no other connection is waiting for
+// the loop to form a round) and the loop's last round was not crowded.
+// So a few request/response connections skip every goroutine hand-off,
+// while many busy ones collide on the baton, fall back to the mailbox,
+// and within one crowded loop round are all back on merged rounds.
+//
+// Per-connection FIFO: the caller has no un-acked chunk outstanding, a
+// chunk is acked only under the baton by the round that parsed it, and
+// that round seals its replies before releasing the baton — so every
+// earlier request of c is already answered into c's pending buffer when
+// the TryLock succeeds. Input this round leaves held (rem after an
+// escalation pause) is re-parsed here until pending is empty; a
+// backpressure pause keeps its chunk un-acked, which routes c's next
+// chunk through the mailbox behind the flusher's wmResume.
+func (w *worker) tryInline(c *wconn, buf []byte) bool {
+	if w.crowded.Load() || !w.baton.TryLock() {
+		return false
+	}
+	defer w.baton.Unlock()
+	if len(w.dataCh)+len(w.dataCh2) > 0 {
+		return false
+	}
+	w.handleData(wmsg{kind: wmData, c: c, buf: buf})
+	w.inlineRound()
+	for len(w.pending) > 0 {
+		w.resumePending()
+		w.inlineRound()
+	}
+	return true
 }
 
 // Round sizing. The chunk budget bounds how many queued messages one
@@ -537,28 +628,34 @@ func (w *worker) roundBudget() int {
 func (w *worker) loop() {
 	defer w.rt.wg.Done()
 	for {
-		// Block only when nothing is deferred from the previous round.
-		if len(w.pending) == 0 {
-			select {
-			case m := <-w.dataCh:
-				w.handleData(m)
-			case m := <-w.dataCh2:
-				w.handleData(m)
-			case m := <-w.ctrlCh:
-				w.handleCtrl(m)
-			case <-w.rt.stop:
-				w.drainAndExit()
-				return
-			}
+		var m wmsg
+		select {
+		case m = <-w.dataCh:
+		case m = <-w.dataCh2:
+		case m = <-w.ctrlCh:
+		case <-w.rt.stop:
+			w.drainAndExit()
+			return
 		}
-		// Re-parse input deferred from the previous round BEFORE
-		// absorbing new chunks: a connection's held tail (rem) and
-		// queued chunk (next) are strictly older than anything still in
-		// the mailbox, and parsing them first is what keeps each
-		// connection's requests in arrival order across a pause.
-		w.resumePending()
+		w.baton.Lock()
+		if m.kind == wmUnits || m.kind == wmDone {
+			w.handleCtrl(m)
+		} else {
+			w.handleData(m)
+		}
 		w.gather()
 		w.finishRound()
+		// Re-parse input a round left held BEFORE absorbing new chunks: a
+		// connection's held tail (rem) and queued chunk (next) are
+		// strictly older than anything still in the mailbox, and parsing
+		// them first is what keeps each connection's requests in arrival
+		// order across a pause.
+		for len(w.pending) > 0 {
+			w.resumePending()
+			w.gather()
+			w.finishRound()
+		}
+		w.baton.Unlock()
 	}
 }
 
@@ -572,13 +669,15 @@ func (w *worker) loop() {
 // connection fold (and the read-dedup its duplicates). The number of
 // yields adapts (gatherSpins): while the final yield of a round still
 // surfaced new chunks with budget to spare the window grows, and when
-// the first yield comes up empty it shrinks — so a lone low-rate
-// connection pays no added latency, while a busy worker coalesces a
-// full round per scheduler pass.
+// the first yield comes up empty it shrinks. A worker with at most one
+// connection takes no window at all (gatherWindow): no other reader
+// exists that a yield could let deliver, so a lone connection pays no
+// added latency, while a busy worker coalesces a full round per
+// scheduler pass.
 func (w *worker) gather() {
 	budget := w.roundBudget()
 	n := w.drainQueued(budget)
-	spins := w.gatherSpins
+	spins := w.gatherWindow()
 	for s := 0; s < spins && n < budget; s++ {
 		runtime.Gosched()
 		m := w.drainQueued(budget - n)
@@ -593,6 +692,15 @@ func (w *worker) gather() {
 			w.gatherSpins++
 		}
 	}
+}
+
+// gatherWindow is the number of scheduler yields this round's gather
+// may take.
+func (w *worker) gatherWindow() int {
+	if w.connsN.Load() <= 1 {
+		return 0
+	}
+	return w.gatherSpins
 }
 
 // drainQueued absorbs up to budget already-queued messages without
@@ -1158,31 +1266,43 @@ func (w *worker) runEscalations() {
 	w.escs = w.escs[:0]
 }
 
-// finishRound dispatches, executes, renders and seals one round.
-// Every peer receives at most one dispatch per round (its whole
-// ordered unit list in one wmUnits), however many connections
+// finishRound is the loop goroutine's round: dispatch and execute,
+// then reply. Every peer receives at most one dispatch per round (its
+// whole ordered unit list in one wmUnits), however many connections
 // contributed units or escalations — the barrier cost is bounded by
 // the worker count, not the connection count.
 func (w *worker) finishRound() {
-	outstanding := 0
+	w.dispatchRound()
+	// A round that served no connection (a peer's units, a flusher
+	// notice) says nothing about crowding.
+	if n := len(w.active); n > 0 && (n > 1) != w.crowded.Load() {
+		w.crowded.Store(n > 1) // readers poll it: write only on change
+	}
+	w.replyRound()
+	// The loop selects on dataCh2 outside the baton, so only it may
+	// install one.
+	w.maybeGrowMailbox()
+}
+
+// inlineRound is a baton-holding reader's round: it executes every
+// owner's unit list itself, on this worker's session. It sends nothing
+// and waits on nobody, so it cannot take part in a dispatch cycle.
+func (w *worker) inlineRound() {
 	for v := range w.outs {
-		o := &w.outs[v]
-		o.open = nil
-		if len(o.units) == 0 || v == w.id {
-			continue
-		}
-		w.rt.workers[v].ctrlCh <- wmsg{kind: wmUnits, from: w, units: o.units}
-		outstanding++
+		w.outs[v].open = nil
+		w.runUnits(w.outs[v].units)
 	}
-	if outstanding > 0 {
-		w.dispatchN.Add(int64(outstanding))
+	if w.replyRound() {
+		w.inlineN.Add(1)
 	}
-	w.runUnits(w.outs[w.id].units)
-	for outstanding > 0 {
-		if w.handleCtrl(<-w.ctrlCh) {
-			outstanding--
-		}
-	}
+}
+
+// replyRound runs the escalations, renders and seals every touched
+// connection and resets the round state; it reports whether anything
+// was sealed. All of the round's units have executed by now — on their
+// owners or inline — before any reply is sealed, which is what folding
+// soundness rests on.
+func (w *worker) replyRound() bool {
 	w.runEscalations()
 
 	sealed := false
@@ -1193,16 +1313,18 @@ func (w *worker) finishRound() {
 			w.renderSlot(c, &c.slots[i])
 		}
 		c.slots = c.slots[:0]
+		// Publish the tally before the seal: seal may put the replies on
+		// the wire, and a client that has its answer may read the counters.
+		if c.reqs != 0 {
+			w.rt.srv.requests.Add(c.reqs)
+			w.reqsN.Add(c.reqs)
+			c.reqs = 0
+		}
 		wantClose := c.closing || (c.eof && c.rem == nil && c.next == nil)
 		pend := int64(0)
 		if !c.gone {
 			pend = w.seal(c, wantClose)
 			sealed = true
-		}
-		if c.reqs != 0 {
-			w.rt.srv.requests.Add(c.reqs)
-			w.reqsN.Add(c.reqs)
-			c.reqs = 0
 		}
 		if wantClose {
 			if pend > 0 {
@@ -1231,7 +1353,31 @@ func (w *worker) finishRound() {
 	if sealed {
 		w.rounds.Add(1)
 	}
-	w.maybeGrowMailbox()
+	return sealed
+}
+
+// dispatchRound sends each peer its unit list, executes this worker's
+// own, and waits out the barrier, servicing peers' lists meanwhile.
+func (w *worker) dispatchRound() {
+	outstanding := 0
+	for v := range w.outs {
+		o := &w.outs[v]
+		o.open = nil
+		if len(o.units) == 0 || v == w.id {
+			continue
+		}
+		w.rt.workers[v].ctrlCh <- wmsg{kind: wmUnits, from: w, units: o.units}
+		outstanding++
+	}
+	if outstanding > 0 {
+		w.dispatchN.Add(int64(outstanding))
+	}
+	w.runUnits(w.outs[w.id].units)
+	for outstanding > 0 {
+		if w.handleCtrl(<-w.ctrlCh) {
+			outstanding--
+		}
+	}
 }
 
 // seal flushes the round's rendered replies into the connection's
@@ -1420,6 +1566,8 @@ func (w *worker) closeConn(c *wconn) {
 // Drain it (publishing the exact request tallies), then keep answering
 // peers still finishing their last round until every worker is here.
 func (w *worker) drainAndExit() {
+	w.baton.Lock() // no reader is left to want it
+	defer w.baton.Unlock()
 	for {
 		var m wmsg
 		select {
@@ -1521,6 +1669,9 @@ type WorkerStats struct {
 	// peer per round, however many connections escalated or contributed
 	// units (the batched-dispatch invariant).
 	Dispatches int64
+	// InlineRounds counts the FlushRounds that ran on a connection's
+	// reader goroutine instead of the worker loop (see tryInline).
+	InlineRounds int64
 }
 
 // WorkerStats snapshots the per-worker counters — the figures behind
@@ -1533,11 +1684,12 @@ func (s *Server) WorkerStats() []WorkerStats {
 	out := make([]WorkerStats, len(s.rt.workers))
 	for i, w := range s.rt.workers {
 		out[i] = WorkerStats{
-			Conns:       w.connsN.Load(),
-			Requests:    w.reqsN.Load(),
-			FlushRounds: w.rounds.Load(),
-			Escalations: w.escals.Load(),
-			Dispatches:  w.dispatchN.Load(),
+			Conns:        w.connsN.Load(),
+			Requests:     w.reqsN.Load(),
+			FlushRounds:  w.rounds.Load(),
+			Escalations:  w.escals.Load(),
+			Dispatches:   w.dispatchN.Load(),
+			InlineRounds: w.inlineN.Load(),
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -23,6 +24,15 @@ import (
 // no real worker loops race the test's synchronous round driving.
 func newTestWorker(t *testing.T, cfg Config) (*Server, *worker) {
 	t.Helper()
+	s, ws := newTestWorkers(t, cfg, 1)
+	return s, ws[0]
+}
+
+// newTestWorkers is newTestWorker for an n-worker runtime, still with
+// no loop goroutine anywhere: a round that dispatched to a peer would
+// hang, which is how the inline tests prove an inline round never does.
+func newTestWorkers(t *testing.T, cfg Config, n int) (*Server, []*worker) {
+	t.Helper()
 	cfg.Runtime = "goroutine"
 	s, err := New(cfg)
 	if err != nil {
@@ -32,9 +42,10 @@ func newTestWorker(t *testing.T, cfg Config) (*Server, *worker) {
 	rt := &workerRuntime{srv: s, stop: make(chan struct{}), allIdle: make(chan struct{})}
 	rt.fl = newFlusherPool(s.cfg.Flushers, s.cfg.FlushTimeout)
 	t.Cleanup(rt.fl.stop)
-	w := rt.newWorker(0, 1)
-	rt.workers = []*worker{w}
-	return s, w
+	for i := 0; i < n; i++ {
+		rt.workers = append(rt.workers, rt.newWorker(i, n))
+	}
+	return s, rt.workers
 }
 
 // newTestWconn returns a connection owned by w over one end of a
@@ -311,5 +322,265 @@ func TestWorkerBackpressurePause(t *testing.T) {
 	}
 	if got, want := <-outC, "PONG\nPONG\nPONG\nNOTFOUND\nBYE\n"; got != want {
 		t.Fatalf("paused connection's stream %q, want %q", got, want)
+	}
+}
+
+// TestGatherWindowLoneConnection: a worker with at most one connection
+// takes no gather window — no other reader exists that a scheduler
+// yield could let deliver, so the yield is pure added latency.
+func TestGatherWindowLoneConnection(t *testing.T) {
+	_, w := newTestWorker(t, Config{Engine: "nztm", Shards: 4})
+	if got := w.gatherWindow(); got != 0 {
+		t.Fatalf("gather window with no connection = %d yields, want 0", got)
+	}
+	_, cl1 := newTestWconn(w)
+	defer cl1.Close()
+	if got := w.gatherWindow(); got != 0 {
+		t.Fatalf("gather window with a lone connection = %d yields, want 0", got)
+	}
+	_, cl2 := newTestWconn(w)
+	defer cl2.Close()
+	if got := w.gatherWindow(); got < 1 {
+		t.Fatalf("gather window with two connections = %d yields, want >= 1", got)
+	}
+}
+
+// readerDeliver is one turn of the reader loop (serve) without the
+// socket: wait for the next buffer, then deliver the chunk.
+func readerDeliver(c *wconn, chunk string) {
+	c.nextBuf()
+	c.deliver([]byte(chunk))
+}
+
+// TestInlineQueuedChunkKeepsOrder: a connection whose chunk k sits in
+// the mailbox reads chunk k+1 while the baton is free. k+1 must queue
+// behind k — run inline it would be answered first. Once both are
+// consumed and acked, the connection is eligible again.
+func TestInlineQueuedChunkKeepsOrder(t *testing.T) {
+	_, w := newTestWorker(t, Config{Engine: "nztm", Shards: 4})
+	c, cl := newTestWconn(w)
+	out := collect(cl)
+
+	w.baton.Lock() // a round is in progress: chunk k goes to the mailbox
+	readerDeliver(c, "SET a 1\n")
+	w.baton.Unlock()
+	readerDeliver(c, "GET a\n") // baton free, but k is still outstanding
+	if got := len(w.dataCh); got != 2 {
+		t.Fatalf("mailbox holds %d chunks, want 2 (k+1 must queue behind k)", got)
+	}
+	if got := w.inlineN.Load(); got != 0 {
+		t.Fatalf("chunk k+1 ran inline ahead of queued chunk k (%d inline rounds)", got)
+	}
+	// The loop's part, by hand.
+	for len(w.dataCh) > 0 {
+		w.handleData(<-w.dataCh)
+	}
+	w.finishRound()
+
+	readerDeliver(c, "GET a\nQUIT\n") // both acked, worker idle: inline
+	if got := w.inlineN.Load(); got != 1 {
+		t.Fatalf("idle worker, nothing outstanding: %d inline rounds, want 1", got)
+	}
+	const want = "OK NEW\nVALUE 1\nVALUE 1\nBYE\n"
+	if got := <-out; got != want {
+		t.Fatalf("reply stream %q, want %q", got, want)
+	}
+}
+
+// TestInlineCrowdedOrBusyFallsBack: the other two observed conditions.
+// A crowded last loop round or a non-empty mailbox sends the chunk
+// through the mailbox even though the baton is free.
+func TestInlineCrowdedOrBusyFallsBack(t *testing.T) {
+	_, w := newTestWorker(t, Config{Engine: "nztm", Shards: 4})
+	a, cla := newTestWconn(w)
+	b, clb := newTestWconn(w)
+	outA, outB := collect(cla), collect(clb)
+
+	// A loop round serving two connections marks the worker crowded.
+	deliver(w, a, "PING\n")
+	deliver(w, b, "PING\n")
+	w.finishRound()
+	if !w.crowded.Load() {
+		t.Fatal("a loop round with two active connections did not mark the worker crowded")
+	}
+	readerDeliver(a, "PING\n")
+	if len(w.dataCh) != 1 || w.inlineN.Load() != 0 {
+		t.Fatalf("crowded worker: mailbox %d, inline %d; want the chunk queued", len(w.dataCh), w.inlineN.Load())
+	}
+	// A loop round serving one connection clears it.
+	w.handleData(<-w.dataCh)
+	w.finishRound()
+	if w.crowded.Load() {
+		t.Fatal("a loop round with one active connection left the worker crowded")
+	}
+	// A round that served nobody (a peer's units, a flusher notice)
+	// leaves the verdict alone.
+	w.crowded.Store(true)
+	w.finishRound()
+	if !w.crowded.Load() {
+		t.Fatal("an empty loop round cleared crowded")
+	}
+	w.crowded.Store(false)
+
+	// Mailbox not empty: another connection is waiting for the loop.
+	w.baton.Lock()
+	readerDeliver(b, "PING\nQUIT\n")
+	w.baton.Unlock()
+	readerDeliver(a, "PING\nQUIT\n")
+	if len(w.dataCh) != 2 || w.inlineN.Load() != 0 {
+		t.Fatalf("busy mailbox: mailbox %d, inline %d; want both chunks queued", len(w.dataCh), w.inlineN.Load())
+	}
+	for len(w.dataCh) > 0 {
+		w.handleData(<-w.dataCh)
+	}
+	w.finishRound()
+	if got, want := <-outA, "PONG\nPONG\nPONG\nBYE\n"; got != want {
+		t.Fatalf("connection a answered %q, want %q", got, want)
+	}
+	if got, want := <-outB, "PONG\nPONG\nBYE\n"; got != want {
+		t.Fatalf("connection b answered %q, want %q", got, want)
+	}
+}
+
+// keysByOwner returns per keys owned by each worker of w's runtime.
+func keysByOwner(t *testing.T, w *worker, per int) [][]string {
+	t.Helper()
+	keys := make([][]string, len(w.rt.workers))
+	for i, missing := 0, per*len(keys); missing > 0; i++ {
+		if i > 1000 {
+			t.Fatal("not enough keys found for every owner")
+		}
+		k := fmt.Sprintf("k%d", i)
+		if o := w.rt.ownerOf(w.sess.Handle(k)); len(keys[o]) < per {
+			keys[o] = append(keys[o], k)
+			missing--
+		}
+	}
+	return keys
+}
+
+// TestInlineEscalationReparse: escalations inside an inline round (LEN,
+// a cross-owner EXEC, PROMOTE) pin the rest of the chunk in rem, clear
+// at the round's end, and the tail is re-parsed by the same reader —
+// no loop goroutine exists here, and the other owner's units run on
+// this worker's session, so a dispatch or a barrier would hang.
+func TestInlineEscalationReparse(t *testing.T) {
+	_, ws := newTestWorkers(t, Config{Engine: "nztm", Shards: 4}, 2)
+	w := ws[0]
+	k := keysByOwner(t, w, 1)
+	c, cl := newTestWconn(w)
+	out := collect(cl)
+
+	readerDeliver(c, fmt.Sprintf(
+		"SET %[1]s 1\nSET %[2]s 2\nLEN\n"+
+			"MULTI\nSET %[1]s 3\nSET %[2]s 4\nEXEC\n"+
+			"PROMOTE\nGET %[1]s\nGET %[2]s\nQUIT\n", k[0][0], k[1][0]))
+
+	if c.rem != nil || c.next != nil || len(w.pending) != 0 {
+		t.Fatalf("inline rounds left input held: rem=%q next=%q pending=%d", c.rem, c.next, len(w.pending))
+	}
+	if len(c.ack) != 1 {
+		t.Fatalf("chunk acked %d times, want once after its last tail was parsed", len(c.ack))
+	}
+	if got := w.escals.Load(); got != 3 {
+		t.Fatalf("%d escalations, want 3 (LEN, cross-owner EXEC, PROMOTE)", got)
+	}
+	// One round per escalation pause plus the tail.
+	if got := w.inlineN.Load(); got != 4 {
+		t.Fatalf("%d inline rounds, want 4", got)
+	}
+	if got := w.dispatchN.Load(); got != 0 {
+		t.Fatalf("inline rounds dispatched %d unit lists, want 0", got)
+	}
+	const want = "OK NEW\nOK NEW\nLEN 2\n" +
+		"OK\nQUEUED\nQUEUED\nRESULTS 2\nOK\nOK\n" +
+		"ERR server: not a replica\nVALUE 3\nVALUE 4\nBYE\n"
+	if got := <-out; got != want {
+		t.Fatalf("reply stream %q, want %q", got, want)
+	}
+}
+
+// TestInlineBackpressureResumeThroughLoop: a backpressure pause raised
+// by an inline round's seal keeps the connection off the inline path —
+// its next chunk is pinned, not parsed — and is resumed by the
+// flusher's wmResume, which only the loop goroutine handles.
+func TestInlineBackpressureResumeThroughLoop(t *testing.T) {
+	s := startServer(t, Config{
+		Engine: "nztm", Shards: 4, Runtime: "worker", Workers: 1,
+		MaxPendingWrite: 8, // 15 reply bytes trip it
+	})
+	w := s.rt.workers[0]
+	// A net.Pipe end has no descriptor, so seal always hands off to the
+	// flusher and the pending count at seal time is deterministic.
+	cl, sv := net.Pipe()
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		s.rt.serve(sv)
+	}()
+
+	// Each Write returns once the reader has taken the chunk, i.e. after
+	// the previous chunk's inline round (if any) is over.
+	if _, err := io.WriteString(cl, "PING\nPING\nPING\n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.WriteString(cl, "GET z\nQUIT\n"); err != nil {
+		t.Fatal(err)
+	}
+	// Nothing has been read from cl yet, so the flusher cannot have
+	// drained: the pause is still in force and chunk 2 is pinned.
+	if got := w.bpPauses.Load(); got != 1 {
+		t.Fatalf("bpPauses = %d after the inline seal, want 1", got)
+	}
+	if got := w.inlineN.Load(); got != 1 {
+		t.Fatalf("%d inline rounds, want 1 (the pinned chunk seals nothing)", got)
+	}
+	got, err := io.ReadAll(cl) // drains the backlog: wmResume, then the tail
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "PONG\nPONG\nPONG\nNOTFOUND\nBYE\n"; string(got) != want {
+		t.Fatalf("reply stream %q, want %q", got, want)
+	}
+	if got := w.inlineN.Load(); got != 1 {
+		t.Fatalf("%d inline rounds, want 1: the resumed tail belongs to the loop", got)
+	}
+	<-readerDone
+}
+
+// TestInlineFailStop: WAL fail-stop semantics hold on an inline round —
+// replies stay in request order, the failing write and its folded
+// followers answer ERR readonly, and the batch's reads are retried and
+// answered from the store (retryReads), on the other owner's shard too.
+func TestInlineFailStop(t *testing.T) {
+	s, ws := newTestWorkers(t, Config{Engine: "nztm", Shards: 4}, 2)
+	w := ws[0]
+	k := keysByOwner(t, w, 2)
+	for o := range k {
+		if _, err := s.Store().Put(nil, k[o][0], uint64(7+o)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Store().SetCommitHook(func([]kv.Effect) error { return wal.ErrFailStop })
+	c, cl := newTestWconn(w)
+	out := collect(cl)
+
+	// Per owner: a read of a stored key, a failing write of another key,
+	// and (owner 0) a read folded onto that write.
+	readerDeliver(c, fmt.Sprintf(
+		"GET %s\nSET %s 1\nGET %[2]s\nGET %s\nSET %s 9\nGET nope\nQUIT\n",
+		k[0][0], k[0][1], k[1][0], k[1][1]))
+	if got := w.inlineN.Load(); got != 1 {
+		t.Fatalf("%d inline rounds, want 1", got)
+	}
+	lines := strings.Split(<-out, "\n")
+	want := []string{"VALUE 7", "ERR readonly", "ERR readonly", "VALUE 8", "ERR readonly", "NOTFOUND", "BYE", ""}
+	if len(lines) != len(want) {
+		t.Fatalf("reply stream %q, want %d lines", lines, len(want))
+	}
+	for i := range want {
+		if !strings.HasPrefix(lines[i], want[i]) {
+			t.Fatalf("reply %d = %q, want prefix %q (stream %q)", i, lines[i], want[i], lines)
+		}
 	}
 }
