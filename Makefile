@@ -46,10 +46,10 @@ bench-readheavy:
 	@$(GO) test -run '^$$' -bench BenchmarkReadHeavy -benchmem -benchtime $(BENCHTIME) .
 
 experiments:
-	@echo "Regenerating the E1..E16 experiment tables..."
+	@echo "Regenerating the E1..E19 experiment tables..."
 	@$(GO) run ./cmd/oftm-bench
 
-BENCH_JSON ?= BENCH_PR14.json
+BENCH_JSON ?= BENCH_PR15.json
 bench-json:
 	@echo "Measuring the perf-tracking grid into $(BENCH_JSON)..."
 	@$(GO) run ./cmd/oftm-bench -json $(BENCH_JSON)
@@ -62,7 +62,7 @@ bench-json:
 # bench-diff measures the working tree into BENCH_CUR (a scratch file,
 # so the checked-in record it gates against is never overwritten); a PR
 # that records a new grid runs bench-json and moves BASELINE to it.
-BASELINE ?= BENCH_PR14.json
+BASELINE ?= BENCH_PR15.json
 BENCH_CUR ?= /tmp/oftm-bench-cur.json
 bench-diff:
 	@echo "Measuring the perf-tracking grid into $(BENCH_CUR) and diffing against $(BASELINE) (fails on >25% ns/op regressions and on allocs/op above the baseline allowance — zero-alloc records must stay zero; workloads new since the baseline are skipped with a notice)..."
@@ -116,6 +116,8 @@ recovery-smoke:
 	@$(GO) vet $(PKGS)
 	@$(GO) test -count=1 -v -run 'TestKillAndRecover|TestWALRestartCycle|TestRecoveryHelperProcess' ./internal/server
 	@$(GO) test -count=1 ./internal/wal
+	@echo "Decoder fuzz corpora (effect iterator, whole-segment replay) against the pre-accumulator oracle..."
+	@$(GO) test -count=1 -run 'Fuzz' ./internal/wal
 
 SERVER_ADDR ?= 127.0.0.1:7781
 server-smoke: kv-smoke
@@ -169,5 +171,8 @@ snapshot-smoke:
 	@echo "Truncated E16 row (recovery-time bound; the binding >= 5x gate runs at 10M keys via 'make experiments')..."
 	@OFTM_E16_KEYS=200000 $(GO) run ./cmd/oftm-bench -exp E16 | tee /tmp/oftm-snapshot-smoke.out
 	@awk '/^E16 speedup:/ { seen = 1; if ($$3 + 0 < 1.5) { print "recovery speedup gate failed (want >= 1.5x at truncated scale): " $$0; bad = 1 } } END { if (!seen) { print "no E16 speedup line"; exit 1 }; if (bad) exit 1; print "incremental recovery held the truncated-scale bound" }' /tmp/oftm-snapshot-smoke.out
+	@echo "Truncated E19 rows (restart after wal.Open: Store.Load vs the Each->Put loop it replaced; measured ~1.5-1.7x at 200k keys, ~2x against the PR 14 tree)..."
+	@OFTM_E16_KEYS=200000 $(GO) run ./cmd/oftm-bench -exp E19 | tee /tmp/oftm-load-smoke.out
+	@awk '/^E19 load speedup:/ { seen = 1; if ($$4 + 0 < 1.2) { print "load speedup gate failed (want >= 1.2x at truncated scale): " $$0; bad = 1 } } END { if (!seen) { print "no E19 load speedup line"; exit 1 }; if (bad) exit 1; print "Store.Load held its lead over the put loop" }' /tmp/oftm-load-smoke.out
 
 .PHONY: build test test-race vet benchmark-check check bench bench-readheavy experiments bench-json bench-diff kv-smoke bench-server servebench server-scale-smoke server-smoke replication-smoke recovery-smoke sim-multi-seed sim-nondeterminism sim-import-export sim-benchmark-invariants sim-smoke snapshot-smoke

@@ -104,8 +104,9 @@ func runServer(cfg server.Config) {
 	}
 	if cfg.WALDir != "" {
 		rec := s.Recovered()
-		fmt.Printf("oftm-server: wal %s (fsync=%s): recovered %d key(s), snapshot cut %d, %d record(s) replayed, last seq %d",
-			cfg.WALDir, cfg.Fsync, rec.Keys, rec.SnapshotSeq, rec.Records, rec.LastSeq)
+		replay, load := s.RecoveryTimes()
+		fmt.Printf("oftm-server: wal %s (fsync=%s): recovered %d key(s), snapshot cut %d, %d record(s) replayed, last seq %d replay=%s load=%s",
+			cfg.WALDir, cfg.Fsync, rec.Keys, rec.SnapshotSeq, rec.Records, rec.LastSeq, ms(replay), ms(load))
 		if rec.TornTail {
 			fmt.Printf(" [torn tail truncated]")
 		}
@@ -159,14 +160,21 @@ func runServer(cfg server.Config) {
 	}
 	if l := s.WAL(); l != nil {
 		ws := l.Stats()
-		fmt.Printf("  wal: appended=%d durable=%d snapshot_cut=%d segments=%d\n",
-			ws.Appended, ws.Durable, ws.SnapshotSeq, ws.Segments)
+		replay, load := s.RecoveryTimes()
+		fmt.Printf("  wal: appended=%d durable=%d snapshot_cut=%d segments=%d replay=%s load=%s\n",
+			ws.Appended, ws.Durable, ws.SnapshotSeq, ws.Segments, ms(replay), ms(load))
 	}
 	if cfg.ReplicateAddr != "" || cfg.ReplicaOf != "" {
 		rs := s.ReplStats()
 		fmt.Printf("  repl: role=%s peers=%d last_shipped=%d last_applied=%d lag=%d\n",
 			rs.Role, rs.Peers, rs.LastShipped, rs.LastApplied, rs.Lag)
 	}
+}
+
+// ms renders a duration as milliseconds with one decimal, the unit of
+// the restart figures in the banner and the shutdown report.
+func ms(d time.Duration) string {
+	return fmt.Sprintf("%.1fms", float64(d)/float64(time.Millisecond))
 }
 
 func runClient(addr string, conns, ops, pipeline int) {

@@ -46,6 +46,7 @@ func All() []Experiment {
 		{"E14", "Follower-read scaling: 1 primary + N replicas, aggregate read capacity", E14},
 		{"E15", "Async reply path: serving grid re-run + slow-reader soak", E15},
 		{"E16", "Recovery at scale: incremental chain vs full snapshot", E16},
+		{"E19", "Restart after wal.Open: loading the recovered keys into the store", E19},
 	}
 }
 

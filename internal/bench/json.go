@@ -29,6 +29,10 @@ type Record struct {
 	Epoch              uint64 `json:"epoch,omitempty"`
 	ForcedAborts       int64  `json:"forced_aborts,omitempty"`
 	SnapshotExtensions int64  `json:"snapshot_extensions,omitempty"`
+	// OpenMs and LoadMs are the two stages of a restart on the
+	// recover-load rows (E19), whose ns/op is LoadMs per recovered key.
+	OpenMs float64 `json:"open_ms,omitempty"`
+	LoadMs float64 `json:"load_ms,omitempty"`
 }
 
 // Key identifies a record across reports.
@@ -124,7 +128,7 @@ func WriteJSON(w io.Writer) error {
 		}
 	}
 
-	rep := Report{Note: "ns/op, allocs/op and B/op per engine × workload × threads; epoch/forced_aborts/snapshot_extensions are engine TMStats after the timed run; server-* rows are loopback wire measurements (threads = connections), with -pr3 the preserved legacy request path"}
+	rep := Report{Note: "ns/op, allocs/op and B/op per engine × workload × threads; epoch/forced_aborts/snapshot_extensions are engine TMStats after the timed run; server-* rows are loopback wire measurements (threads = connections), with -pr3 the preserved legacy request path; recover-load rows are a restart's load stage, ns/op per recovered key, with open_ms/load_ms the stage split"}
 	for _, c := range cases {
 		c := c
 		rec, err := bestOf(benchRuns, func() (Record, error) { return measure(c) })
@@ -158,6 +162,12 @@ func WriteJSON(w io.Writer) error {
 		return err
 	}
 	rep.Records = append(rep.Records, rRecs...)
+	// Restart rows (E19): wal.Open, then the store loaded, per engine.
+	lRecs, err := recoverRecords()
+	if err != nil {
+		return err
+	}
+	rep.Records = append(rep.Records, lRecs...)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)

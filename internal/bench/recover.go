@@ -34,12 +34,18 @@ package bench
 //     equal-overhead cadence) with no further cut.
 //
 // The headline figure is the speedup of incremental over full wal.Open
-// time; the acceptance gate is >= 5x at 10M keys.
+// time; the acceptance gate is >= 5x at 10M keys. E16 stops its clock
+// when wal.Open returns: what it bounds is finding and validating the
+// state, not loading it into a store. Experiment E19 (below) measures
+// the rest of a restart — Open, then the store loaded — on real
+// engines.
 
 import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"sort"
 	"strconv"
 	"time"
 
@@ -182,16 +188,16 @@ func RunRecovery(mode string, keys int) (RecoveryResult, error) {
 	return res, l2.Close()
 }
 
-// e16Keys returns the synthetic store size: OFTM_E16_KEYS when set (the
-// CI truncated row), else the 10M-key production scale the ROADMAP
-// targets.
-func e16Keys() int {
+// recoveryKeys returns the synthetic store size of the recovery
+// experiments: OFTM_E16_KEYS when set (the CI truncated rows), else the
+// experiment's own default.
+func recoveryKeys(def int) int {
 	if s := os.Getenv("OFTM_E16_KEYS"); s != "" {
 		if n, err := strconv.Atoi(s); err == nil && n >= e16Shards {
 			return n
 		}
 	}
-	return 10_000_000
+	return def
 }
 
 // E16 measures restart time against store size: incremental chain +
@@ -199,7 +205,7 @@ func e16Keys() int {
 // "E16 speedup:" line is machine-readable — CI's snapshot-smoke job
 // gates on it with a truncated key count.
 func E16(w io.Writer) {
-	keys := e16Keys()
+	keys := recoveryKeys(10_000_000) // the production scale the ROADMAP targets
 	t := NewTable(fmt.Sprintf("Experiment E16 — recovery at scale: incremental chain vs full snapshot (%d keys, %d shards)", keys, e16Shards),
 		"mode", "tail ops", "setup", "wal.Open", "keys recovered")
 	times := map[string]time.Duration{}
@@ -219,4 +225,168 @@ func E16(w io.Writer) {
 	fmt.Fprintf(w, "E16 speedup: %.2fx (incremental %v vs full %v)\n",
 		times["full"].Seconds()/times["incremental"].Seconds(),
 		times["incremental"].Round(time.Millisecond), times["full"].Round(time.Millisecond))
+}
+
+// Experiment E19: the second half of a restart. E16's directories are
+// recovered by wal.Open alone; a server then has to load every
+// recovered key into its store. RunRecoverLoad measures both stages
+// over one synthetic chain directory, per engine, with the store
+// loaded either by kv.Store.Load (slots created holding their values,
+// no transaction) or by the loop the server ran before Load existed —
+// Recovered.Each feeding Store.Put, one interned name and one engine
+// transaction per key — kept here as the comparison arm the way E16
+// keeps its full-image writer.
+
+// LoadResult is one E19 measurement.
+type LoadResult struct {
+	Keys int
+	Open time.Duration // wal.Open
+	Load time.Duration // recovered state -> store
+}
+
+// NsPerKey is the load stage's cost per recovered key.
+func (r LoadResult) NsPerKey() float64 { return float64(r.Load.Nanoseconds()) / float64(r.Keys) }
+
+// BuildLoadDir writes the E19 directory: a full chain cut of keys
+// synthetic keys plus a tail of keys/100 records over shard 0's range,
+// so recovery walks a base and a tail like a real restart. The caller
+// removes it.
+func BuildLoadDir(keys int) (string, error) {
+	dir, err := os.MkdirTemp("", "oftm-e19-*")
+	if err != nil {
+		return "", err
+	}
+	l, _, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever, SegmentBytes: 4 << 20})
+	if err == nil {
+		src := &chainSource{n: keys}
+		if err = l.WriteSnapshotInc(src); err == nil {
+			err = e16Append(l, src, keys/100)
+		}
+		if cerr := l.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		os.RemoveAll(dir)
+		return "", err
+	}
+	return dir, nil
+}
+
+// RunRecoverLoad recovers dir and loads it into a fresh store on the
+// named engine, timing the two stages. It returns the run with the
+// median load time of benchRuns: a load allocates its whole store, so
+// one run's time depends on where the collector's cycles happen to
+// fall.
+func RunRecoverLoad(dir, engine, arm string) (LoadResult, error) {
+	runs := make([]LoadResult, 0, benchRuns)
+	for len(runs) < benchRuns {
+		r, err := runRecoverLoad(dir, engine, arm)
+		if err != nil {
+			return r, err
+		}
+		runs = append(runs, r)
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i].Load < runs[j].Load })
+	return runs[len(runs)/2], nil
+}
+
+func runRecoverLoad(dir, engine, arm string) (LoadResult, error) {
+	var res LoadResult
+	store := kv.New(EngineByName(engine).Raw(), 8, 0)
+	runtime.GC() // the previous row's store is garbage; do not bill it to this one
+	t0 := time.Now()
+	l, rec, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		return res, err
+	}
+	defer l.Close()
+	res.Open = time.Since(t0)
+	res.Keys = rec.Keys
+	t1 := time.Now()
+	switch arm {
+	case "load":
+		err = store.Load(rec.Keys, rec.Each)
+	case "putloop":
+		err = rec.Each(func(k string, v uint64) error {
+			_, perr := store.Put(nil, k, v)
+			return perr
+		})
+	default:
+		err = fmt.Errorf("bench: unknown load arm %q", arm)
+	}
+	res.Load = time.Since(t1)
+	if err != nil {
+		return res, err
+	}
+	if n, err := store.Len(nil); err != nil || n != rec.Keys {
+		return res, fmt.Errorf("bench: %s/%s: store holds %d keys (%v), recovery found %d", engine, arm, n, err, rec.Keys)
+	}
+	return res, nil
+}
+
+// loadEngines are the engines oftm-server offers.
+var loadEngines = []string{"dstm", "nztm", "2pl", "tl2", "coarse"}
+
+// E19 measures Open -> store loaded per engine, both arms. The final
+// "E19 load speedup:" line is machine-readable (nztm, the server's
+// default engine) — CI's snapshot-smoke job gates on it with a
+// truncated key count.
+func E19(w io.Writer) {
+	keys := recoveryKeys(1_000_000)
+	dir, err := BuildLoadDir(keys)
+	if err != nil {
+		fmt.Fprintf(w, "E19: %v\n", err)
+		return
+	}
+	defer os.RemoveAll(dir)
+	t := NewTable(fmt.Sprintf("Experiment E19 — restart after wal.Open: loading %d recovered keys into the store", keys),
+		"row", "open_ms", "load_ms", "load_ns_per_key")
+	perKey := map[string]float64{}
+	for _, engine := range loadEngines {
+		for _, arm := range []string{"load", "putloop"} {
+			r, err := RunRecoverLoad(dir, engine, arm)
+			if err != nil {
+				fmt.Fprintf(w, "E19 %s/%s: %v\n", engine, arm, err)
+				return
+			}
+			row := "recover-" + arm + "-" + engine
+			perKey[row] = r.NsPerKey()
+			t.Add(row, fmt.Sprintf("%.1f", r.Open.Seconds()*1e3), fmt.Sprintf("%.1f", r.Load.Seconds()*1e3), fmt.Sprintf("%.0f", r.NsPerKey()))
+		}
+	}
+	fmt.Fprint(w, t.String())
+	fmt.Fprintln(w, "Load creates each key's two t-variables holding (present, value): no transaction, no")
+	fmt.Fprintln(w, "plan, one table publication. The putloop rows are the loop the server ran before.")
+	fmt.Fprintf(w, "E19 load speedup: %.2fx (nztm, %d keys: Load %.0f ns/key vs Each->Put %.0f ns/key)\n",
+		perKey["recover-putloop-nztm"]/perKey["recover-load-nztm"], keys,
+		perKey["recover-load-nztm"], perKey["recover-putloop-nztm"])
+}
+
+// recoverRecords are the E19 rows of the perf-tracking grid: ns/op is
+// the load stage's cost per recovered key.
+func recoverRecords() ([]Record, error) {
+	keys := recoveryKeys(1_000_000)
+	dir, err := BuildLoadDir(keys)
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	var recs []Record
+	for _, engine := range loadEngines {
+		r, err := RunRecoverLoad(dir, engine, "load")
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, Record{
+			Engine:    engine,
+			Workload:  "recover-load",
+			Threads:   1,
+			NsPerOp:   r.NsPerKey(),
+			OpsPerSec: 1e9 / r.NsPerKey(),
+			OpenMs:    r.Open.Seconds() * 1e3,
+			LoadMs:    r.Load.Seconds() * 1e3,
+		})
+	}
+	return recs, nil
 }

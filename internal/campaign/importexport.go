@@ -106,10 +106,7 @@ func ImportExport(seed int64, engine string, cfg Config) error {
 			"recovered state differs from the live store: %s vs %s", got, want)
 	}
 	fresh := kv.New(newEngine(engine), cfg.Shards, 8)
-	if err := recd.Each(func(k string, v uint64) error {
-		_, perr := fresh.Put(nil, k, v)
-		return perr
-	}); err != nil {
+	if err := fresh.Load(recd.Keys, recd.Each); err != nil {
 		return violationf(seed, engine, "import-export", "import: %v", err)
 	}
 

@@ -22,6 +22,7 @@ package kv
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -238,12 +239,7 @@ func (s *Store) intern(key string) uint64 {
 	}
 	slots := s.table()
 	h := uint64(len(slots) + 1)
-	name := fmt.Sprintf("kv.h%d", h)
-	slots = append(slots, slot{
-		key:     key,
-		present: s.tm.NewVar(name+".present", 0),
-		val:     s.tm.NewVar(name+".val", 0),
-	})
+	slots = append(slots, s.newSlot(h, key, 0, 0))
 	sh := s.shards[s.shardOf(h)]
 	sh.handles = append(sh.handles, h)
 	// Publish the grown table before the handle becomes observable: any
@@ -251,6 +247,77 @@ func (s *Store) intern(key string) uint64 {
 	s.slots.Store(&slots)
 	s.handles.Store(key, h)
 	return h
+}
+
+// newSlot creates handle h's two t-variables with the given initial
+// values, named kv.h<h>.present and kv.h<h>.val.
+func (s *Store) newSlot(h uint64, key string, present, val uint64) slot {
+	var buf [40]byte // "kv.h" + 20 digits + ".present" fits; the names are rendered on the stack
+	name := strconv.AppendUint(append(buf[:0], "kv.h"...), h, 10)
+	stem := len(name)
+	return slot{
+		key:     key,
+		present: s.tm.NewVar(string(append(name, ".present"...)), present),
+		val:     s.tm.NewVar(string(append(name[:stem], ".val"...)), val),
+	}
+}
+
+// Load fills the store from a stream of (key, value) pairs — recovered
+// state — at the cost of creating the keys rather than of writing them.
+// In the paper's model a t-variable has an initial value and a history
+// starts from it; before the first transaction there is one process and
+// nothing to isolate it from, so a new key's slot is simply created
+// holding (present, val): no transaction begins, no commit hook runs,
+// no statistic moves. each is called once with the function to feed
+// (wal.Recovered.Each has this shape); n is a hint of how many pairs it
+// will yield, used to reserve the handle table and the shards' handle
+// lists once. Handles are assigned in stream order, so one stream loads
+// any store identically.
+//
+// A key that is already interned — by an earlier operation, or earlier
+// in the same stream — cannot be created again; its pairs are applied
+// with Put after the stream ends, in stream order, so the last value
+// wins.
+//
+// Load is a before-serving call, like SetCommitHook and meant to come
+// before it (the recovery sequence is Load, then hook, then listen): it
+// holds the intern lock across each, and the handles it assigns become
+// valid when it returns.
+func (s *Store) Load(n int, each func(func(key string, val uint64) error) error) error {
+	var again []Pair // pairs of already-interned keys, in stream order
+	s.mu.Lock()
+	slots := s.table()
+	if n > cap(slots)-len(slots) {
+		slots = append(make([]slot, 0, len(slots)+n), slots...)
+	}
+	for _, sh := range s.shards {
+		// Handles hash to shards evenly; an eighth of slack absorbs the
+		// imbalance of all but tiny loads.
+		if want := n/len(s.shards) + n/(8*len(s.shards)) + 8; want > cap(sh.handles)-len(sh.handles) {
+			sh.handles = append(make([]uint64, 0, len(sh.handles)+want), sh.handles...)
+		}
+	}
+	err := each(func(key string, val uint64) error {
+		// One walk of the intern table both finds an interned key and
+		// claims the next handle for a new one.
+		h := uint64(len(slots) + 1)
+		if _, interned := s.handles.LoadOrStore(key, h); interned {
+			again = append(again, Pair{Key: key, Val: val})
+			return nil
+		}
+		slots = append(slots, s.newSlot(h, key, 1, val))
+		sh := s.shards[s.shardOf(h)]
+		sh.handles = append(sh.handles, h)
+		return nil
+	})
+	// One publication for the whole batch, on the error path too: every
+	// handle stored above must index a slot.
+	s.slots.Store(&slots)
+	s.mu.Unlock()
+	for i := 0; err == nil && i < len(again); i++ {
+		_, err = s.Put(nil, again[i].Key, again[i].Val)
+	}
+	return err
 }
 
 // table returns the current handle table snapshot.

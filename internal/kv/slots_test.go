@@ -16,15 +16,15 @@ import (
 	"repro/internal/wal"
 )
 
-// countingTM counts the t-variables a store allocates and the reads and
-// writes its transactions issue — the paper's cost model, observed at
+// countingTM counts the t-variables a store allocates, the transactions
+// it begins and the reads and writes they issue — the paper's cost model, observed at
 // the core.TM seam. Single-goroutine, one transaction at a time: the Tx
 // wrapper is reused and passes Recycle through, so the wrapper itself
 // adds no allocation to the transactions it counts.
 type countingTM struct {
 	core.TM
-	vars, reads, writes int
-	tx                  countingTx
+	vars, begins, reads, writes int
+	tx                          countingTx
 }
 
 func (c *countingTM) NewVar(name string, init uint64) core.Var {
@@ -33,6 +33,7 @@ func (c *countingTM) NewVar(name string, init uint64) core.Var {
 }
 
 func (c *countingTM) Begin(p *sim.Proc) core.Tx {
+	c.begins++
 	c.tx = countingTx{Tx: c.TM.Begin(p), c: c}
 	return &c.tx
 }

@@ -41,10 +41,8 @@ func connectReplica(t *testing.T, p *Primary, dir string) (*Replica, *kv.Store) 
 		t.Fatalf("Connect: %v", err)
 	}
 	store := newStore()
-	for k, v := range rec.State {
-		if _, err := store.Put(nil, k, v); err != nil {
-			t.Fatalf("load recovered state: %v", err)
-		}
+	if err := store.Load(rec.Keys, rec.Each); err != nil {
+		t.Fatalf("load recovered state: %v", err)
 	}
 	r.Start(store)
 	return r, store
@@ -194,10 +192,8 @@ func TestReplicaPersistsAndResumes(t *testing.T) {
 		t.Fatalf("recovered last seq = %d, want 5 (local log)", rec.LastSeq)
 	}
 	store := newStore()
-	for k, v := range rec.State {
-		if _, err := store.Put(nil, k, v); err != nil {
-			t.Fatalf("load: %v", err)
-		}
+	if err := store.Load(rec.Keys, rec.Each); err != nil {
+		t.Fatalf("load: %v", err)
 	}
 	r2.Start(store)
 	defer r2.Stop()

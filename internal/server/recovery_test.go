@@ -261,6 +261,17 @@ func TestWALRestartCycle(t *testing.T) {
 	if s2.Recovered().SnapshotSeq == 0 {
 		t.Fatal("second boot ignored the snapshot")
 	}
+	// The boot recorded where its time went, loaded without a single
+	// store transaction, and released recovery's copy of the state.
+	if replay, load := s2.RecoveryTimes(); replay <= 0 || load <= 0 {
+		t.Fatalf("RecoveryTimes = (%v, %v), want both stages timed", replay, load)
+	}
+	if st := s2.Store().Stats(); st.Txns != 0 {
+		t.Fatalf("loading %d recovered keys ran %d store transactions, want 0", s2.Recovered().Keys, st.Txns)
+	}
+	if rec := s2.Recovered(); rec.Keys != 20 || rec.State != nil || rec.Base != nil {
+		t.Fatalf("Recovered() after load: Keys=%d State=%v Base=%v, want 20 keys and the content released", rec.Keys, rec.State, rec.Base)
+	}
 	cl2, err := Dial(s2.Addr().String())
 	if err != nil {
 		t.Fatal(err)

@@ -253,8 +253,13 @@ type Server struct {
 	// log is the durability layer, nil when Config.WALDir is empty.
 	log       *wal.Log
 	recovered wal.Recovered
-	snapStop  chan struct{}
-	snapDone  chan struct{}
+	// replayTime and loadTime split the restart: recovering the log
+	// directory (on a replica, the bootstrap handshake included) and
+	// loading what it held into the store.
+	replayTime, loadTime time.Duration
+
+	snapStop chan struct{}
+	snapDone chan struct{}
 
 	// Replication: replSrv ships this node's log to followers
 	// (Config.ReplicateAddr); repl is the apply side when the node
@@ -338,6 +343,7 @@ func (s *Server) openWAL(cfg Config) error {
 	if err != nil {
 		return err
 	}
+	start := time.Now()
 	l, rec, err := wal.Open(wal.Options{
 		Dir:          cfg.WALDir,
 		Policy:       policy,
@@ -348,20 +354,12 @@ func (s *Server) openWAL(cfg Config) error {
 	if err != nil {
 		return fmt.Errorf("server: wal: %w", err)
 	}
-	err = rec.Each(func(k string, v uint64) error {
-		_, perr := s.store.Put(nil, k, v)
-		return perr
-	})
-	if err != nil {
+	if err := s.loadRecovered(&rec, time.Since(start)); err != nil {
 		l.Close()
 		return fmt.Errorf("server: wal: loading recovered state: %w", err)
 	}
 	s.store.SetCommitHook(l.Append)
 	s.log = l
-	// The store holds the state now; keeping the recovery map/images too
-	// would double resident memory for the server's whole lifetime.
-	rec.State, rec.Base, rec.Tombstones = nil, nil, nil
-	s.recovered = rec
 	if cfg.SnapshotEvery > 0 {
 		s.snapStop = make(chan struct{})
 		s.snapDone = make(chan struct{})
@@ -384,6 +382,7 @@ func (s *Server) openReplicaWAL(cfg Config) error {
 	if err != nil {
 		return err
 	}
+	start := time.Now()
 	r, rec, err := repl.Connect(repl.ReplicaConfig{
 		PrimaryAddr:    cfg.ReplicaOf,
 		ConnectTimeout: cfg.ReplicaConnectTimeout,
@@ -400,11 +399,7 @@ func (s *Server) openReplicaWAL(cfg Config) error {
 	}
 	s.replica.Store(true)
 	l := r.Log()
-	err = rec.Each(func(k string, v uint64) error {
-		_, perr := s.store.Put(nil, k, v)
-		return perr
-	})
-	if err != nil {
+	if err := s.loadRecovered(&rec, time.Since(start)); err != nil {
 		r.Stop()
 		l.Close()
 		return fmt.Errorf("server: replica: loading bootstrap state: %w", err)
@@ -416,8 +411,6 @@ func (s *Server) openReplicaWAL(cfg Config) error {
 		return l.Append(effects)
 	})
 	s.log = l
-	rec.State, rec.Base, rec.Tombstones = nil, nil, nil
-	s.recovered = rec
 	s.repl = r
 	r.Start(s.store)
 	if cfg.SnapshotEvery > 0 {
@@ -425,6 +418,22 @@ func (s *Server) openReplicaWAL(cfg Config) error {
 		s.snapDone = make(chan struct{})
 		go s.snapshotLoop(cfg.SnapshotEvery)
 	}
+	return nil
+}
+
+// loadRecovered loads what recovery (which took replay) reconstructed
+// into the still-private store — before the commit hook exists, so
+// nothing is re-logged — and records where the restart's time went.
+func (s *Server) loadRecovered(rec *wal.Recovered, replay time.Duration) error {
+	start := time.Now()
+	if err := s.store.Load(rec.Keys, rec.Each); err != nil {
+		return err
+	}
+	s.replayTime, s.loadTime = replay, time.Since(start)
+	// The store holds the state now; keeping recovery's copy too would
+	// double resident memory for the server's whole lifetime.
+	rec.Release()
+	s.recovered = *rec
 	return nil
 }
 
@@ -560,6 +569,15 @@ func (s *Server) WAL() *wal.Log { return s.log }
 // without Config.WALDir). Its State map is dropped after loading —
 // read Keys for the recovered key count.
 func (s *Server) Recovered() wal.Recovered { return s.recovered }
+
+// RecoveryTimes reports where the restart went: replay is the time
+// spent recovering the log directory (wal.Open; on a replica, the
+// bootstrap handshake with the primary too), load the time spent
+// loading the recovered keys into the store. Both are zero without a
+// WAL.
+func (s *Server) RecoveryTimes() (replay, load time.Duration) {
+	return s.replayTime, s.loadTime
+}
 
 // Store returns the underlying kv store (for embedding and tests).
 func (s *Server) Store() *kv.Store { return s.store }

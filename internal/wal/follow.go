@@ -239,43 +239,6 @@ func (l *Log) AppendFrames(b []byte) error {
 	return nil
 }
 
-// decodeEffects parses one record payload into kv effects appended to
-// dst. It is applyPayload with effects instead of a state map.
-func decodeEffects(dst []kv.Effect, payload []byte) ([]kv.Effect, error) {
-	count, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return dst, fmt.Errorf("wal: bad effect count")
-	}
-	payload = payload[n:]
-	for i := uint64(0); i < count; i++ {
-		if len(payload) == 0 {
-			return dst, fmt.Errorf("wal: effect list cut short")
-		}
-		tag := payload[0]
-		payload = payload[1:]
-		klen, n := binary.Uvarint(payload)
-		if n <= 0 || uint64(len(payload[n:])) < klen {
-			return dst, fmt.Errorf("wal: bad key length")
-		}
-		key := string(payload[n : n+int(klen)])
-		payload = payload[n+int(klen):]
-		switch tag {
-		case tagPut:
-			val, n := binary.Uvarint(payload)
-			if n <= 0 {
-				return dst, fmt.Errorf("wal: bad value")
-			}
-			payload = payload[n:]
-			dst = append(dst, kv.Effect{Key: key, Val: val})
-		case tagDel:
-			dst = append(dst, kv.Effect{Key: key, Del: true})
-		default:
-			return dst, fmt.Errorf("wal: unknown effect tag %d", tag)
-		}
-	}
-	return dst, nil
-}
-
 // DecodeFrames walks a run of frames, calling fn once per record with
 // its seq and decoded effects. The effects slice is reused across
 // calls — fn must not retain it.
@@ -286,10 +249,17 @@ func DecodeFrames(b []byte, fn func(seq uint64, effects []kv.Effect) error) erro
 		if !ok {
 			return fmt.Errorf("wal: corrupt frame in stream")
 		}
-		var err error
-		eff, err = decodeEffects(eff[:0], payload)
+		it, err := iterEffects(payload)
 		if err != nil {
 			return err
+		}
+		eff = eff[:0]
+		for it.n > 0 {
+			key, val, del, err := it.next()
+			if err != nil {
+				return err
+			}
+			eff = append(eff, kv.Effect{Key: string(key), Val: val, Del: del})
 		}
 		if err := fn(seq, eff); err != nil {
 			return err

@@ -103,49 +103,54 @@ func parseFrame(b []byte) (seq uint64, payload []byte, frameLen int, ok bool) {
 	return seq, body[sn:], frameHeaderLen + n, true
 }
 
-// applyPayload replays one frame's effects onto state. When tombs is
-// non-nil (chain recovery: state is only the tail over a separate base)
-// deletes are additionally recorded there so base entries they shadow
-// can be skipped at merge time; puts clear any earlier tombstone.
-func applyPayload(state map[string]uint64, tombs map[string]struct{}, payload []byte) error {
+// effectIter walks one record payload's effects in place — the single
+// decoder of the effect encoding. Recovery's replay accumulator
+// (recover.go) and the replication ingest path (DecodeFrames) both read
+// through it.
+type effectIter struct {
+	p []byte // undecoded remainder of the payload
+	n uint64 // effects still to decode
+}
+
+// iterEffects positions an iterator at a payload's first effect.
+func iterEffects(payload []byte) (effectIter, error) {
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
-		return fmt.Errorf("wal: bad effect count")
+		return effectIter{}, fmt.Errorf("wal: bad effect count")
 	}
-	payload = payload[n:]
-	for i := uint64(0); i < count; i++ {
-		if len(payload) == 0 {
-			return fmt.Errorf("wal: effect list cut short")
-		}
-		tag := payload[0]
-		payload = payload[1:]
-		klen, n := binary.Uvarint(payload)
-		if n <= 0 || uint64(len(payload[n:])) < klen {
-			return fmt.Errorf("wal: bad key length")
-		}
-		key := string(payload[n : n+int(klen)])
-		payload = payload[n+int(klen):]
-		switch tag {
-		case tagPut:
-			val, n := binary.Uvarint(payload)
-			if n <= 0 {
-				return fmt.Errorf("wal: bad value")
-			}
-			payload = payload[n:]
-			state[key] = val
-			if tombs != nil {
-				delete(tombs, key)
-			}
-		case tagDel:
-			delete(state, key)
-			if tombs != nil {
-				tombs[key] = struct{}{}
-			}
-		default:
-			return fmt.Errorf("wal: unknown effect tag %d", tag)
-		}
+	return effectIter{p: payload[n:], n: count}, nil
+}
+
+// next decodes the effect at the cursor; call it while it.n > 0. key
+// aliases the payload — callers that keep it copy it. For a delete val
+// is 0. Bytes past the last effect are ignored, as they always were.
+func (it *effectIter) next() (key []byte, val uint64, del bool, err error) {
+	p := it.p
+	if len(p) == 0 {
+		return nil, 0, false, fmt.Errorf("wal: effect list cut short")
 	}
-	return nil
+	tag := p[0]
+	klen, n := binary.Uvarint(p[1:])
+	if n <= 0 || uint64(len(p)-1-n) < klen {
+		return nil, 0, false, fmt.Errorf("wal: bad key length")
+	}
+	key = p[1+n : 1+n+int(klen)]
+	p = p[1+n+int(klen):]
+	switch tag {
+	case tagPut:
+		val, n = binary.Uvarint(p)
+		if n <= 0 {
+			return nil, 0, false, fmt.Errorf("wal: bad value")
+		}
+		p = p[n:]
+	case tagDel:
+		del = true
+	default:
+		return nil, 0, false, fmt.Errorf("wal: unknown effect tag %d", tag)
+	}
+	it.p = p
+	it.n--
+	return key, val, del, nil
 }
 
 // encodeSnapshot renders a complete snapshot file image for the given
@@ -163,32 +168,51 @@ func encodeSnapshot(cut uint64, pairs []kv.Pair) []byte {
 	return binary.LittleEndian.AppendUint32(p, crc32.ChecksumIEEE(p[len(snapMagic):]))
 }
 
-// decodeSnapshot parses a snapshot file image into a fresh state map.
-func decodeSnapshot(b []byte) (cut uint64, state map[string]uint64, err error) {
+// openSnapshot checks a snapshot file image's magic and CRC and returns
+// its cut, entry count and entry region.
+func openSnapshot(b []byte) (cut, count uint64, entries []byte, err error) {
 	if len(b) < len(snapMagic)+20 || string(b[:len(snapMagic)]) != snapMagic {
-		return 0, nil, fmt.Errorf("wal: not a snapshot file")
+		return 0, 0, nil, fmt.Errorf("wal: not a snapshot file")
 	}
 	body, tail := b[len(snapMagic):len(b)-4], b[len(b)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return 0, nil, fmt.Errorf("wal: snapshot CRC mismatch")
+		return 0, 0, nil, fmt.Errorf("wal: snapshot CRC mismatch")
 	}
-	cut = binary.LittleEndian.Uint64(body)
-	count := binary.LittleEndian.Uint64(body[8:])
-	body = body[16:]
-	state = make(map[string]uint64, count)
+	return binary.LittleEndian.Uint64(body), binary.LittleEndian.Uint64(body[8:]), body[16:], nil
+}
+
+// walkSnapshot calls fn for each of a snapshot's count entries in file
+// order (sorted by key, see SnapshotImage). key aliases entries.
+func walkSnapshot(entries []byte, count uint64, fn func(key []byte, val uint64)) error {
 	for i := uint64(0); i < count; i++ {
-		klen, n := binary.Uvarint(body)
-		if n <= 0 || uint64(len(body[n:])) < klen {
-			return 0, nil, fmt.Errorf("wal: snapshot entry cut short")
+		klen, n := binary.Uvarint(entries)
+		if n <= 0 || uint64(len(entries[n:])) < klen {
+			return fmt.Errorf("wal: snapshot entry cut short")
 		}
-		key := string(body[n : n+int(klen)])
-		body = body[n+int(klen):]
-		val, n := binary.Uvarint(body)
+		key := entries[n : n+int(klen)]
+		entries = entries[n+int(klen):]
+		val, n := binary.Uvarint(entries)
 		if n <= 0 {
-			return 0, nil, fmt.Errorf("wal: snapshot value cut short")
+			return fmt.Errorf("wal: snapshot value cut short")
 		}
-		body = body[n:]
-		state[key] = val
+		entries = entries[n:]
+		fn(key, val)
+	}
+	return nil
+}
+
+// decodeSnapshot parses a snapshot file image into a fresh state map.
+func decodeSnapshot(b []byte) (cut uint64, state map[string]uint64, err error) {
+	cut, count, entries, err := openSnapshot(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	// An entry is at least two bytes, which bounds what a forged count
+	// can make the map reserve.
+	state = make(map[string]uint64, min(count, uint64(len(entries)/2)))
+	err = walkSnapshot(entries, count, func(key []byte, val uint64) { state[string(key)] = val })
+	if err != nil {
+		return 0, nil, err
 	}
 	return cut, state, nil
 }

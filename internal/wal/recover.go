@@ -17,7 +17,10 @@ type Recovered struct {
 	// is the complete store content, as before. When recovery used a
 	// manifest chain, the snapshot part lives in Base and State holds
 	// only the replayed tail — iterate with Each or materialize with
-	// Merged instead of reading State directly.
+	// Merged instead of reading State directly. Open builds it (and
+	// Tombstones) once, after the last record, from the replay
+	// accumulator: its cost follows the distinct keys of the tail, not
+	// the records.
 	State map[string]uint64
 	// Base holds the chain's per-shard images (nil when a legacy
 	// snapshot or no snapshot was used) in wire form (see ShardBase),
@@ -47,11 +50,87 @@ type Recovered struct {
 	// torn bytes were truncated away; every record before them
 	// survived.
 	TornTail bool
+
+	// tail is the replay accumulator's entry list: one entry per
+	// distinct key of the tail, in the order the log first mentioned
+	// them. State and Tombstones are views of it; Each walks it.
+	tail []tailEnt
 }
 
-// Each calls fn once per recovered key with its final value, walking
-// the chain base (skipping entries the tail overrode or deleted) and
-// then the tail itself. It stops on the first error.
+// tailEnt is the final word of the replayed tail on one key.
+type tailEnt struct {
+	key string
+	val uint64
+	del bool // the tail's last effect on key was a delete
+}
+
+// replay accumulates the effects of the records past the snapshot cut.
+// A record costs one map lookup per effect and no allocation; a key
+// costs one string, the first time the log mentions it. A delete flips
+// a flag rather than removing the entry, so an entry's position — the
+// order Each later yields it in — never depends on what followed. The
+// zero value is an empty accumulator.
+type replay struct {
+	idx  map[string]int32 // key -> position in ents
+	ents []tailEnt
+}
+
+// set records that key's latest effect is a put of val or a delete.
+func (a *replay) set(key []byte, val uint64, del bool) {
+	if i, ok := a.idx[string(key)]; ok { // the conversion does not allocate
+		e := &a.ents[i]
+		e.val, e.del = val, del
+		return
+	}
+	if a.idx == nil {
+		a.idx = map[string]int32{}
+	}
+	k := string(key)
+	a.idx[k] = int32(len(a.ents))
+	a.ents = append(a.ents, tailEnt{key: k, val: val, del: del})
+}
+
+// apply replays one record payload.
+func (a *replay) apply(payload []byte) error {
+	it, err := iterEffects(payload)
+	if err != nil {
+		return err
+	}
+	for it.n > 0 {
+		key, val, del, err := it.next()
+		if err != nil {
+			return err
+		}
+		a.set(key, val, del)
+	}
+	return nil
+}
+
+// finish hands the accumulated tail to rec and builds the State and
+// Tombstones views of it.
+func (a *replay) finish(rec *Recovered) {
+	rec.tail = a.ents
+	rec.State = make(map[string]uint64, len(a.ents))
+	if rec.Base != nil {
+		rec.Tombstones = map[string]struct{}{}
+	}
+	for i := range a.ents {
+		e := &a.ents[i]
+		switch {
+		case !e.del:
+			rec.State[e.key] = e.val
+		case rec.Base != nil:
+			// Only a chain base can still hold a key the tail deleted.
+			rec.Tombstones[e.key] = struct{}{}
+		}
+	}
+}
+
+// Each calls fn once per recovered key with its final value: the chain
+// base first (skipping entries the tail overrode or deleted), then the
+// tail in the order the log first mentioned each key. The sequence is a
+// function of the directory's bytes alone, so two recoveries of one
+// directory load a store identically. It stops on the first error.
 func (r *Recovered) Each(fn func(key string, val uint64) error) error {
 	for s := range r.Base {
 		err := r.Base[s].walk(func(k string, v uint64) error {
@@ -67,12 +146,31 @@ func (r *Recovered) Each(fn func(key string, val uint64) error) error {
 			return err
 		}
 	}
-	for k, v := range r.State {
-		if err := fn(k, v); err != nil {
-			return err
+	if r.tail == nil {
+		// Assembled outside Open from a State map alone (a replica's
+		// snapshot bootstrap): there is no log order to follow.
+		for k, v := range r.State {
+			if err := fn(k, v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for i := range r.tail {
+		if e := &r.tail[i]; !e.del {
+			if err := fn(e.key, e.val); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// Release drops the recovered content — State, Base, Tombstones and the
+// tail behind them — keeping the counters. A consumer that has loaded
+// the state calls it so the process does not hold the store twice.
+func (r *Recovered) Release() {
+	r.State, r.Base, r.Tombstones, r.tail = nil, nil, nil, nil
 }
 
 // Merged materializes the full recovered state as one map — the
@@ -98,6 +196,7 @@ func (r *Recovered) Merged() map[string]uint64 {
 func Open(opts Options) (*Log, Recovered, error) {
 	opts.fill()
 	rec := Recovered{State: map[string]uint64{}}
+	var acc replay
 	if err := opts.FS.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, rec, err
 	}
@@ -153,17 +252,21 @@ func Open(opts Options) (*Log, Recovered, error) {
 				continue
 			}
 			rec.Base = base
-			rec.Tombstones = map[string]struct{}{}
 		} else {
 			img, err := opts.FS.ReadFile(filepath.Join(opts.Dir, snapName(c.cut)))
 			if err != nil {
 				continue
 			}
-			cut, state, err := decodeSnapshot(img)
+			cut, count, entries, err := openSnapshot(img)
 			if err != nil || cut != c.cut {
 				continue
 			}
-			rec.State = state
+			// A full image is the head of the tail: its entries seed the
+			// accumulator in file order, the records replay over them.
+			if walkSnapshot(entries, count, func(k []byte, v uint64) { acc.set(k, v, false) }) != nil {
+				acc = replay{}
+				continue
+			}
 		}
 		rec.SnapshotSeq = c.cut
 		rec.LastSeq = c.cut
@@ -185,28 +288,23 @@ func Open(opts Options) (*Log, Recovered, error) {
 	var next uint64
 	for i, idx := range segIdxs {
 		last := i == len(segIdxs)-1
-		if err := l.replaySegment(idx, i == 0, last, &rec, &next); err != nil {
+		if err := l.replaySegment(idx, i == 0, last, &rec, &acc, &next); err != nil {
 			return nil, rec, err
 		}
 	}
+	acc.finish(&rec)
 
 	// Count recovered keys. This pass doubles as the chain's structural
 	// validation: each image's entry stream is walked exactly once
 	// (bounds-checked by ShardBase.walk), so Open never hands back a
-	// base it could not fully read.
+	// base it could not fully read. A base entry the tail mentions at
+	// all — overridden or deleted — is shadowed.
 	rec.Keys = len(rec.State)
-	shadowed := len(rec.State) != 0 || len(rec.Tombstones) != 0
 	for s := range rec.Base {
 		err := rec.Base[s].walk(func(k string, _ uint64) error {
-			if shadowed {
-				if _, ok := rec.State[k]; ok {
-					return nil
-				}
-				if _, ok := rec.Tombstones[k]; ok {
-					return nil
-				}
+			if _, shadowed := acc.idx[k]; !shadowed {
+				rec.Keys++
 			}
-			rec.Keys++
 			return nil
 		})
 		if err != nil {
@@ -238,7 +336,7 @@ func Open(opts Options) (*Log, Recovered, error) {
 // were truncated away, or a deleted middle segment — and replaying
 // past it would silently drop committed transactions, so recovery
 // refuses instead.
-func (l *Log) replaySegment(idx int, first, last bool, rec *Recovered, next *uint64) error {
+func (l *Log) replaySegment(idx int, first, last bool, rec *Recovered, acc *replay, next *uint64) error {
 	path := filepath.Join(l.opts.Dir, segName(idx))
 	b, err := l.opts.FS.ReadFile(path)
 	if err != nil {
@@ -266,6 +364,14 @@ func (l *Log) replaySegment(idx int, first, last bool, rec *Recovered, next *uin
 		return fmt.Errorf("wal: %s: segment starts at seq %d, want %d — a middle segment is missing; refusing to recover a hole",
 			path, firstSeq, *next)
 	}
+	if last && len(b) == segHeaderLen && firstSeq == rec.LastSeq+1 {
+		// What an earlier boot that logged nothing left behind: a header
+		// and no record, starting exactly where the segment Open is about
+		// to create starts. It carries nothing, like the header-less file
+		// above; keeping it would grow the directory by one file per
+		// restart.
+		return l.opts.FS.Remove(path)
+	}
 	l.segs = append(l.segs, segment{idx: idx, firstSeq: firstSeq, path: path})
 	off := segHeaderLen
 	for off < len(b) {
@@ -282,7 +388,7 @@ func (l *Log) replaySegment(idx int, first, last bool, rec *Recovered, next *uin
 		}
 		*next = seq + 1
 		if seq > rec.SnapshotSeq {
-			if err := applyPayload(rec.State, rec.Tombstones, payload); err != nil {
+			if err := acc.apply(payload); err != nil {
 				return fmt.Errorf("wal: %s: record %d: %w", path, seq, err)
 			}
 			rec.Records++
