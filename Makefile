@@ -54,11 +54,11 @@ bench-json:
 	@echo "Measuring the perf-tracking grid into $(BENCH_JSON)..."
 	@$(GO) run ./cmd/oftm-bench -json $(BENCH_JSON)
 
-# Each BENCH_PRn.json is the median of three runs per record, measured
-# on that PR session's container; ns/op baselines only gate honestly
-# when both sides ran on the same machine, so the diff against the
-# previous PR's file is advisory across containers and binding within
-# one. Records new since the baseline are skipped with a notice.
+# The checked-in BENCH_PRn.json (one record; git keeps the older ones)
+# is the median of three runs per record, measured on one container;
+# ns/op baselines only gate honestly when both sides ran on the same
+# machine, so the diff against it is advisory across containers and
+# binding within one. Records new since the baseline are skipped with a notice.
 # bench-diff measures the working tree into BENCH_CUR (a scratch file,
 # so the checked-in record it gates against is never overwritten); a PR
 # that records a new grid runs bench-json and moves BASELINE to it.
@@ -80,7 +80,7 @@ bench-server:
 	@$(GO) test -run '^$$' -bench BenchmarkServer -benchmem -benchtime $(BENCHTIME) ./internal/bench
 
 servebench:
-	@echo "Running experiments E10 (byte wire path vs the preserved PR 3 path), E11 (WAL durability bill), E13 (serving-runtime scaling grid, 2 loadgen procs), E14 (replication follower-read scaling) and E15 (async reply path + slow-reader soak)..."
+	@echo "Running experiments E11 (WAL durability bill), E13 (serving-runtime scaling grid, 2 loadgen procs), E14 (replication follower-read scaling) and E15 (async reply path + slow-reader soak)..."
 	@$(GO) run ./cmd/oftm-bench -servebench
 
 server-scale-smoke:

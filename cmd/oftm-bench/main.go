@@ -3,12 +3,12 @@
 //
 // Usage:
 //
-//	oftm-bench                 # run every experiment E1..E11
+//	oftm-bench                 # run every experiment E1..E19
 //	oftm-bench -exp E5         # run one experiment
 //	oftm-bench -list           # list experiments
 //	oftm-bench -kvsmoke        # brief run of every kv-* workload (CI)
 //	oftm-bench -servebench     # end-to-end loopback server load
-//	                           # (E10 wire path + E11 durability +
+//	                           # (E11 durability +
 //	                           # E13 runtime scaling grid +
 //	                           # E14 replication follower reads +
 //	                           # E15 async reply path + soak);
@@ -19,7 +19,7 @@
 //	                           # bottlenecks the measurement (default 2;
 //	                           # -procs 1 falls back to in-process load)
 //	oftm-bench -json out.json  # write the perf-tracking grid as JSON
-//	oftm-bench -json out.json -baseline BENCH_PR1.json
+//	oftm-bench -json out.json -baseline BENCH_PR15.json
 //	                           # ...and diff ns/op + allocs/op against
 //	                           # a previous grid, exiting 1 on
 //	                           # regressions beyond tolerance
@@ -46,7 +46,7 @@ func main() {
 	baseline := flag.String("baseline", "", "previous perf-tracking JSON to diff against (requires -json); exits 1 when any record's ns/op regresses by more than -tolerance")
 	tolerance := flag.Float64("tolerance", 25, "regression tolerance for -baseline, in percent")
 	kvsmoke := flag.Bool("kvsmoke", false, "run every kv-* workload briefly and exit (CI smoke)")
-	servebench := flag.Bool("servebench", false, "run the end-to-end loopback server load (experiments E10, E11 and E13); with -json, write the serving records to that file")
+	servebench := flag.Bool("servebench", false, "run the end-to-end loopback server load (experiments E11, E13, E14 and E15); with -json, write the serving records to that file")
 	procs := flag.Int("procs", 2, "E13: number of loadgen processes driving the scaling grid (1 = in-process; >1 keeps the measured process serving-only, so its req/s-per-core is clean)")
 	scaleConns := flag.String("scale-conns", "", "E13: comma-separated connection grid override (e.g. 8,64 for the CI smoke)")
 	scaleWorkers := flag.Int("scale-workers", 0, "E13: worker count for worker-runtime grid points (0 = server default)")
@@ -66,8 +66,6 @@ func main() {
 	bench.SetScaleOptions(opts)
 
 	if *servebench {
-		bench.E10(os.Stdout)
-		fmt.Println()
 		bench.E11(os.Stdout)
 		fmt.Println()
 		bench.E13(os.Stdout)

@@ -40,15 +40,12 @@ func main() {
 	maxLine := flag.Int("max-line", 1<<20, "max request line length in bytes (longer lines answer ERR line too long and close)")
 	runtimeKind := flag.String("runtime", "worker", "serving runtime: worker (shard-affine loops) | goroutine (one per connection)")
 	workers := flag.Int("workers", 0, "worker runtime: number of worker loops (0 = GOMAXPROCS, capped at -shards)")
-	unit := flag.Int("unit", 0, "worker runtime: max ops folded into one merged shard unit (0 = default 8, the engines' inline read/write-set size)")
 	flushTimeout := flag.Duration("flush-timeout", 0, "worker runtime: per-connection flusher progress bound; a connection whose socket accepts no reply bytes for this long is closed (0 = default 5s, negative disables the kill)")
 	maxPendingWrite := flag.Int64("max-pending-write", 0, "worker runtime: max sealed-but-unwritten reply bytes per connection before its reader pauses (0 = default 1MiB, negative disables)")
-	flushers := flag.Int("flushers", 0, "worker runtime: reply-flusher goroutines (0 = default 2)")
 	walDir := flag.String("wal-dir", "", "durability: write-ahead log directory (empty = volatile)")
 	fsync := flag.String("fsync", "interval", "durability: WAL fsync policy: always|interval|never")
 	fsyncEvery := flag.Duration("fsync-interval", 100*time.Millisecond, "durability: fsync period for -fsync interval")
 	snapEvery := flag.Duration("snapshot-every", 0, "durability: periodic snapshot+truncate period (0 = off)")
-	snapFull := flag.Bool("snapshot-full", false, "durability: force full-store snapshot images instead of incremental per-shard chains")
 	replicateAddr := flag.String("replicate-addr", "", "replication: serve the WAL record stream to replicas on this address (requires -wal-dir)")
 	replicaOf := flag.String("replica-of", "", "replication: boot as a read-only replica of the primary's -replicate-addr (requires -wal-dir; SIGUSR1 or PROMOTE promotes)")
 	connect := flag.String("connect", "", "client mode: address of a running server to load")
@@ -69,15 +66,12 @@ func main() {
 		MaxLine:         *maxLine,
 		Runtime:         *runtimeKind,
 		Workers:         *workers,
-		Unit:            *unit,
 		FlushTimeout:    *flushTimeout,
 		MaxPendingWrite: *maxPendingWrite,
-		Flushers:        *flushers,
 		WALDir:          *walDir,
 		Fsync:           *fsync,
 		FsyncInterval:   *fsyncEvery,
 		SnapshotEvery:   *snapEvery,
-		SnapshotFull:    *snapFull,
 		ReplicateAddr:   *replicateAddr,
 		ReplicaOf:       *replicaOf,
 	})

@@ -87,8 +87,8 @@ func TestWorkloadsRunOnEveryEngine(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 16 {
-		t.Fatalf("want 16 experiments, got %d", len(all))
+	if len(all) != 15 {
+		t.Fatalf("want 15 experiments, got %d", len(all))
 	}
 	for _, e := range all {
 		if e.ID == "" || e.Title == "" || e.Run == nil {

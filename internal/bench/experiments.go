@@ -40,7 +40,6 @@ func All() []Experiment {
 		{"E7", "Strict DAP under random schedules, per engine", E7},
 		{"E8", "Throughput and ablations (raw mode)", E8},
 		{"E9", "Serving stack: kv throughput vs shards x engine", E9},
-		{"E10", "Wire path rewrite: loopback req/s + allocs/req, byte vs PR 3 path", E10},
 		{"E11", "Durability: WAL group commit under load, wal-off vs interval vs always", E11},
 		{"E13", "Serving runtime scaling: worker loops vs goroutine-per-conn, conns x shards x fsync", E13},
 		{"E14", "Follower-read scaling: 1 primary + N replicas, aggregate read capacity", E14},

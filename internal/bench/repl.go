@@ -38,7 +38,7 @@ import (
 // the server lifecycle and the request mix lifted out, so one topology
 // boot can host several phases.
 func replPhase(addr string, keys []string, conns, pipeline, windows, setPct, casPct int) (ServerResult, error) {
-	res := ServerResult{Engine: "nztm", Path: "byte", Conns: conns, Pipeline: pipeline}
+	res := ServerResult{Engine: "nztm", Conns: conns, Pipeline: pipeline}
 	lcs := make([]*loadConn, conns)
 	for i := range lcs {
 		lc, err := dialLoadConn(addr, keys, int64(i), pipeline, setPct, casPct)

@@ -1,7 +1,8 @@
 package bench
 
-// Experiment E13: connection scaling of the serving runtimes. E10/E11
-// measured a single 8-connection point; E13 extends that into a grid —
+// Experiment E13: connection scaling of the serving runtimes. The
+// server-mixed-c8 rows and E11 measure a single 8-connection point;
+// E13 extends that into a grid —
 // {8, 64, 256, 1024} connections × shard count × fsync policy — and
 // runs it against both serving runtimes (the PR 7 shard-affine worker
 // loops and the goroutine-per-connection baseline), so the speedup and
@@ -93,7 +94,8 @@ func SetScaleOptions(o ScaleOptions) {
 // engine measured well, not five measured noisily.
 const scaleEngine = "nztm"
 
-// scalePipeline is the per-window pipelining depth, matching E10/E11.
+// scalePipeline is the per-window pipelining depth, matching the
+// server-mixed-c8 rows and E11.
 const scalePipeline = 32
 
 // scaleGrid is the measurement plan: the full connection × fsync grid
@@ -144,7 +146,6 @@ func scaleWindows(conns int) int {
 func RunServerScale(c ScaleCase, procs, workers, pipeline, windows int) (ServerResult, error) {
 	res := ServerResult{
 		Engine:   c.engine(),
-		Path:     fmt.Sprintf("%s-s%d-%s", c.Runtime, c.Shards, c.walLabel()),
 		Conns:    c.Conns,
 		Pipeline: pipeline,
 	}
@@ -513,7 +514,7 @@ func E13(w io.Writer) {
 }
 
 // scaleRecords converts the grid measurements into perf-tracking
-// records for BENCH_PR7.json: workload server-scale-<runtime>-s<n>-
+// perf-tracking records: workload server-scale-<runtime>-s<n>-
 // <wal>, threads = connections. These rows are what bench-diff gates.
 func scaleRecords() ([]Record, error) {
 	var recs []Record

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -15,24 +14,21 @@ import (
 // allocation-free in the steady state, so with -benchmem the reported
 // allocs/op is the server+kv request path's own footprint — the figure
 // the zero-allocation rewrite is gated on (budget: ≤ 1 alloc/req on
-// the byte path; the CI server-bench-smoke job asserts it). The
-// legacy-c8 variant measures the preserved PR 3 path for comparison.
+// the byte path; the CI server-bench-smoke job asserts it).
 func BenchmarkServer(b *testing.B) {
 	for _, bc := range []struct {
-		name   string
-		legacy bool
-		conns  int
+		name  string
+		conns int
 	}{
-		{"byte-c1", false, 1},
-		{"byte-c8", false, 8},
-		{"legacy-c8", true, 8},
+		{"byte-c1", 1},
+		{"byte-c8", 8},
 	} {
-		b.Run(bc.name, func(b *testing.B) { benchServer(b, "nztm", bc.legacy, bc.conns) })
+		b.Run(bc.name, func(b *testing.B) { benchServer(b, "nztm", bc.conns) })
 	}
 }
 
-func benchServer(b *testing.B, engine string, legacy bool, conns int) {
-	srv, keys, err := startLoadServer(engine, legacy)
+func benchServer(b *testing.B, engine string, conns int) {
+	srv, keys, err := startLoadServer(engine)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -83,22 +79,19 @@ func benchServer(b *testing.B, engine string, legacy bool, conns int) {
 	}
 }
 
-// TestRunServerLoad is the smoke for the E10 harness: a short measured
-// run on both paths must ack every request with no error responses,
-// and the byte path must hold the steady-state allocation budget
-// (≤ 1 alloc/req) that BenchmarkServer and the CI job gate on.
+// TestRunServerLoad is the smoke for the serving harness: a short
+// measured run must ack every request with no error responses.
+// TestServerAllocBudget holds its allocation budget.
 func TestRunServerLoad(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		r, err := RunServerLoad("nztm", legacy, 2, 16, 40)
-		if err != nil {
-			t.Fatalf("legacy=%v: %v", legacy, err)
-		}
-		if r.Reqs != 2*16*40 {
-			t.Fatalf("legacy=%v: reqs = %d, want %d", legacy, r.Reqs, 2*16*40)
-		}
-		if r.ReqsPerSec() <= 0 {
-			t.Fatalf("legacy=%v: zero throughput", legacy)
-		}
+	r, err := RunServerLoad("nztm", 2, 16, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Reqs != 2*16*40 {
+		t.Fatalf("reqs = %d, want %d", r.Reqs, 2*16*40)
+	}
+	if r.ReqsPerSec() <= 0 {
+		t.Fatal("zero throughput")
 	}
 }
 
@@ -109,7 +102,7 @@ func TestServerAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
 	}
-	r, err := RunServerLoad("nztm", false, 2, 32, 100)
+	r, err := RunServerLoad("nztm", 2, 32, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,21 +163,4 @@ func TestWindowBuilder(t *testing.T) {
 	if bytes.Contains(win, []byte("\n\n")) {
 		t.Fatalf("window contains blank lines")
 	}
-}
-
-// TestE10Smoke runs a miniature E10 cell pair end to end and checks
-// the table renders both paths.
-func TestE10Smoke(t *testing.T) {
-	legacy, err := RunServerLoad("coarse", true, 1, 8, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := RunServerLoad("coarse", false, 1, 8, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Path != "legacy" || fresh.Path != "byte" {
-		t.Fatalf("paths mislabeled: %q / %q", legacy.Path, fresh.Path)
-	}
-	_ = fmt.Sprintf("%.0f %.0f", legacy.ReqsPerSec(), fresh.ReqsPerSec())
 }

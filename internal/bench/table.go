@@ -1,8 +1,10 @@
 // Package bench is the experiment harness: engine registry, workload
-// generators, throughput runners and the E1–E11 experiment suite
+// generators, throughput runners and the E1–E19 experiment suite
 // mapped in DESIGN.md — the paper experiments (E1–E8), the serving
-// stack (E9), the wire path (E10) and the durability layer (E11) —
-// plus the JSON perf-tracking grid and its regression gate.
+// stack (E9), the durability layer (E11), serving-runtime scaling
+// (E13), follower reads (E14), the async reply path (E15) and restart
+// (E16, E19) — plus the JSON perf-tracking grid and its regression
+// gate.
 // cmd/oftm-bench regenerates every experiment table from here; the
 // root bench_test.go exposes the performance experiments as testing.B
 // benchmarks.

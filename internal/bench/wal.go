@@ -1,8 +1,9 @@
 package bench
 
 // Experiment E11: the cost of durability. The same closed-loop mixed
-// load as E10 (8 pipelined connections over loopback) against servers
-// whose only difference is the WAL configuration — off, group commit
+// load as the server-mixed-c8 rows (8 pipelined connections over
+// loopback) against servers whose only difference is the WAL
+// configuration — off, group commit
 // with interval fsync, group commit with fsync-per-batch — so the
 // req/s and allocs/req deltas are the durability layer's own bill.
 // The acceptance criteria this experiment gates: the wal-off path
@@ -18,10 +19,10 @@ import (
 	"repro/internal/server"
 )
 
-// walModes are the E11 columns, in measurement order. Path labels
-// become the -pr5 JSON workload suffixes.
+// walModes are the E11 columns, in measurement order. Labels become
+// the -pr5 JSON workload suffixes.
 var walModes = []struct {
-	label string // ServerResult.Path / table row
+	label string // table row
 	fsync string // server.Config.Fsync ("" = WAL off)
 }{
 	{"wal-off", ""},
@@ -35,12 +36,10 @@ var walModes = []struct {
 // whatever filesystem the test environment gives us; fsync figures are
 // therefore hardware-honest, not portable constants.
 func RunServerLoadWAL(engine, fsync string, conns, pipeline, windows int) (ServerResult, error) {
-	res := ServerResult{Engine: engine, Path: "wal-" + fsync, Conns: conns, Pipeline: pipeline}
+	res := ServerResult{Engine: engine, Conns: conns, Pipeline: pipeline}
 	// Runtime pinned for baseline comparability, like startLoadServer.
 	cfg := server.Config{Engine: engine, Runtime: "goroutine"}
-	if fsync == "" {
-		res.Path = "wal-off"
-	} else {
+	if fsync != "" {
 		dir, err := os.MkdirTemp("", "oftm-wal-bench-*")
 		if err != nil {
 			return res, err
@@ -63,7 +62,7 @@ func RunServerLoadWAL(engine, fsync string, conns, pipeline, windows int) (Serve
 // snapshot cut actually advanced during the measured phase, so a
 // passing allocation figure can't come from a run where no cut landed.
 func RunServerLoadSnapshot(engine string, every time.Duration, conns, pipeline, windows int) (ServerResult, bool, error) {
-	res := ServerResult{Engine: engine, Path: "wal-snapcut", Conns: conns, Pipeline: pipeline}
+	res := ServerResult{Engine: engine, Conns: conns, Pipeline: pipeline}
 	dir, err := os.MkdirTemp("", "oftm-snapcut-bench-*")
 	if err != nil {
 		return res, false, err

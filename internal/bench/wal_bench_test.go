@@ -13,9 +13,6 @@ func TestRunServerLoadWAL(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m.label, err)
 		}
-		if r.Path != m.label {
-			t.Fatalf("path mislabeled: %q, want %q", r.Path, m.label)
-		}
 		if r.Reqs != 2*16*20 || r.ReqsPerSec() <= 0 {
 			t.Fatalf("%s: reqs=%d rps=%.0f", m.label, r.Reqs, r.ReqsPerSec())
 		}

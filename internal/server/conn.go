@@ -19,8 +19,7 @@ import (
 // through a per-connection kv.Session, and renders replies with
 // strconv.AppendUint into reused scratch — in the steady state
 // (known keys, repeated batch shapes) a pipelined GET/SET request is
-// served without any heap allocation. The retired string-based PR 3
-// handler survives in legacy.go as the measured baseline (E10).
+// served without any heap allocation.
 
 // verb is a protocol command identified from its token without
 // allocating. vUnknown covers everything else, including the unicode
@@ -200,8 +199,9 @@ func parseUint(b []byte) (uint64, bool) {
 // pre-interned handle (Key stays empty — the allocation-free path;
 // handles come from the per-connection session cache). Building an
 // error allocates, but only for malformed requests. Accepts and
-// rejects the same request language as the retired string parser
-// (parseOpLegacy), which the equivalence test and FuzzParseOp enforce.
+// rejects the same request language as the retired string parser,
+// which parser_test.go keeps as the oracle of TestParseOpEquivalence
+// and FuzzParseOp.
 func parseOp(se *kv.Session, v verb, raw []byte, args [][]byte) (kv.Op, error) {
 	name := verbName[v]
 	arity := func(n int) error {

@@ -46,6 +46,12 @@ import (
 // window.
 const flushWindow = 5 * time.Millisecond
 
+// flushers is the flusher-pool size of a worker runtime. Flushers write
+// with short deadlines and requeue stalled connections, so a handful
+// serve any connection count; more than one keeps healthy connections
+// flowing while a stalled one waits out its write window.
+const flushers = 2
+
 // rawWriter is the reusable state behind seal's inline fast path: one
 // non-blocking write attempt on the connection's descriptor, writing
 // until the socket would block (EAGAIN) and never waiting for
@@ -122,10 +128,7 @@ type flusherPool struct {
 	depth atomic.Int64 // queued connections (STATS FLUSH)
 }
 
-func newFlusherPool(n int, timeout time.Duration) *flusherPool {
-	if n < 1 {
-		n = 1
-	}
+func newFlusherPool(timeout time.Duration) *flusherPool {
 	if timeout < 0 {
 		timeout = 0 // negative FlushTimeout: never kill, keep retrying
 	}
@@ -134,8 +137,8 @@ func newFlusherPool(n int, timeout time.Duration) *flusherPool {
 		p.window = timeout
 	}
 	p.cond = sync.NewCond(&p.mu)
-	p.wg.Add(n)
-	for i := 0; i < n; i++ {
+	p.wg.Add(flushers)
+	for i := 0; i < flushers; i++ {
 		go p.run()
 	}
 	return p

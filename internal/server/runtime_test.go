@@ -151,7 +151,7 @@ func TestRuntimeEquivalenceFolding(t *testing.T) {
 		"SET f4 5", "CAS f4 5 6", "GET f4", "CAS f4 999 0", "GET f4",
 		// EXEC writes invalidate too.
 		"SET f5 1", "MULTI", "SET f5 2", "EXEC", "GET f5",
-		// Same-key traffic across the Unit boundary (Batch=3).
+		// Same-key traffic across the Batch=3 boundary.
 		"SET f6 1", "SET f7 1", "SET f8 1", "SET f6 2", "GET f6",
 		"QUIT",
 	}, "\n") + "\n"

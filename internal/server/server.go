@@ -30,8 +30,7 @@
 // state: requests are tokenized in place over the bufio read buffer,
 // verbs case-fold through a table, keys resolve to pre-interned
 // handles via a per-connection kv.Session, and replies render through
-// reused scratch buffers (conn.go). The PR 3 string-based path is
-// preserved behind Config.Legacy as the measured baseline (legacy.go).
+// reused scratch buffers (conn.go).
 package server
 
 import (
@@ -67,16 +66,6 @@ type Config struct {
 	// Batch bounds how many pipelined unconditional requests are folded
 	// into one transaction (default 64; 1 disables batching).
 	Batch int
-	// Unit bounds how many ops the worker runtime folds into one merged
-	// shard unit (default 8). The default is deliberately smaller than
-	// Batch: the engines keep a transaction's read and write sets in an
-	// 8-entry inline array before spilling to a map, and on the
-	// versioned engines validation walks the read set — so past the
-	// inline size, bigger units cost more per op than they amortize.
-	// The goroutine path has no say in its fold size (it folds whatever
-	// one connection's window delivers); choosing the unit size freely
-	// is a structural advantage of the worker runtime.
-	Unit int
 	// MaxMultiOps bounds a MULTI..EXEC batch (default 256).
 	MaxMultiOps int
 	// MaxLine bounds a single request line in bytes (default 1 MiB). A
@@ -85,12 +74,6 @@ type Config struct {
 	// bound caps per-connection memory against runaway (or hostile)
 	// unterminated requests.
 	MaxLine int
-	// Legacy selects the retired PR 3 string-based request path
-	// (legacy.go) instead of the byte-level one. It exists solely so
-	// experiment E10 can measure the rewrite's speedup against a live
-	// baseline; it is not reachable from the oftm-server flags.
-	// Setting it forces Runtime "goroutine".
-	Legacy bool
 	// Runtime selects the connection execution model. "worker" (the
 	// default) runs Workers shard-affine run-to-completion loops:
 	// connections are assigned to a worker at accept time, requests
@@ -123,12 +106,6 @@ type Config struct {
 	// reads replies holds at most this many reply bytes (plus one
 	// round's worth) server-side.
 	MaxPendingWrite int64
-	// Flushers is the flusher-pool size for Runtime "worker" (default
-	// 2). Flushers write with short deadlines and requeue stalled
-	// connections, so a handful serve any connection count; more than
-	// one keeps healthy connections flowing while a stalled one waits
-	// out its write window.
-	Flushers int
 
 	// WALDir enables the durability layer (internal/wal): committed
 	// write effects are logged to this directory, state is recovered
@@ -146,12 +123,6 @@ type Config struct {
 	// of the store) and truncates covered log segments. 0 disables
 	// periodic snapshots; recovery then replays the whole log.
 	SnapshotEvery time.Duration
-	// SnapshotFull forces periodic snapshots to re-dump the whole store
-	// as one legacy image. The default (false) cuts incremental chain
-	// snapshots: only shards dirtied since the previous cut are
-	// re-dumped, so cut cost and recovery time track the dirty set, not
-	// the store size (see internal/wal/chain.go).
-	SnapshotFull bool
 	// WALSegmentBytes caps a log segment before rotation (default 64
 	// MiB).
 	WALSegmentBytes int64
@@ -186,9 +157,6 @@ func (c *Config) fill() {
 	if c.Batch <= 0 {
 		c.Batch = 64
 	}
-	if c.Unit <= 0 {
-		c.Unit = 8
-	}
 	if c.MaxMultiOps <= 0 {
 		c.MaxMultiOps = 256
 	}
@@ -200,9 +168,6 @@ func (c *Config) fill() {
 	}
 	if c.Runtime == "" {
 		c.Runtime = "worker"
-	}
-	if c.Legacy {
-		c.Runtime = "goroutine"
 	}
 	if c.Workers <= 0 {
 		// GOMAXPROCS, not NumCPU: the loop count should follow what the
@@ -220,9 +185,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxPendingWrite == 0 {
 		c.MaxPendingWrite = 1 << 20
-	}
-	if c.Flushers <= 0 {
-		c.Flushers = 2
 	}
 }
 
@@ -284,10 +246,7 @@ type Server struct {
 	wg sync.WaitGroup
 
 	// requests counts parsed protocol requests: one per non-blank
-	// request line, so an EXEC of n queued ops counts once. (The PR 3
-	// path counted reply lines instead, overstating MULTI traffic; the
-	// legacy handler retains that behavior as part of the preserved
-	// baseline.)
+	// request line, so an EXEC of n queued ops counts once.
 	requests atomic.Int64
 }
 
@@ -455,28 +414,18 @@ func (s *Server) snapshotLoop(every time.Duration) {
 }
 
 // SnapshotNow takes one snapshot of the store and truncates the covered
-// log history. The default is an incremental chain cut: shards dirtied
-// since the previous cut are re-dumped (each in its own read-only
-// transaction, so writers never stall behind a whole-store freeze),
-// clean shards stay linked to their existing images. Config.SnapshotFull
-// keeps the legacy whole-store image. Errors when the server runs
-// without a WAL.
+// log history: an incremental chain cut, where shards dirtied since the
+// previous cut are re-dumped (each in its own read-only transaction, so
+// writers never stall behind a whole-store freeze) and clean shards stay
+// linked to their existing images. Errors when the server runs without
+// a WAL.
 func (s *Server) SnapshotNow() error {
 	if s.log == nil {
 		return errors.New("server: no WAL configured")
 	}
-	replica := s.repl != nil && s.replica.Load()
-	if s.cfg.SnapshotFull {
-		dump := func() ([]kv.Pair, error) { return s.store.Dump(nil) }
-		if replica {
-			// A replica's log runs ahead of its store (ingest is
-			// WAL-first), so the safe cut is the last *applied* seq, not
-			// the log tail.
-			return s.log.WriteSnapshotCut(s.repl.Stats().LastApplied, dump)
-		}
-		return s.log.WriteSnapshot(dump)
-	}
-	if replica {
+	if s.repl != nil && s.replica.Load() {
+		// A replica's log runs ahead of its store (ingest is WAL-first),
+		// so the safe cut is the last *applied* seq, not the log tail.
 		// The applied-cut read precedes the writer's epoch reads, which
 		// is the ordering the dirty-shard classification needs: the
 		// apply loop bumps a shard's epoch before advancing LastApplied.
@@ -756,10 +705,6 @@ func (s *Server) serveConn(c net.Conn) {
 		return
 	}
 	defer s.dropConn(c)
-	if s.cfg.Legacy {
-		s.serveConnLegacy(c)
-		return
-	}
 	newConn(s, c).run()
 }
 

@@ -129,6 +129,16 @@ const (
 	unitMulti
 )
 
+// unitOps bounds how many ops a round folds into one merged shard unit.
+// It is deliberately smaller than Config.Batch: the engines keep a
+// transaction's read and write sets in an 8-entry inline array before
+// spilling to a map, and on the versioned engines validation walks the
+// read set — so past the inline size, bigger units cost more per op
+// than they amortize. The goroutine path has no say in its fold size
+// (it folds whatever one connection's window delivers); choosing the
+// unit size freely is a structural advantage of the worker runtime.
+const unitOps = 8
+
 // unit is one ordered piece of a round's work for one owner. It is
 // allocated from the parsing worker's pool and reused every round; the
 // owner fills res/err, the parsing worker renders from them after the
@@ -427,7 +437,6 @@ type worker struct {
 	flushKills  atomic.Int64
 
 	// Config cached off the hot path.
-	batchCap   int
 	maxMulti   int
 	maxLine    int
 	maxPending int64
@@ -452,7 +461,7 @@ func newWorkerRuntime(s *Server, n int) *workerRuntime {
 		n = 1
 	}
 	rt := &workerRuntime{srv: s, stop: make(chan struct{}), allIdle: make(chan struct{})}
-	rt.fl = newFlusherPool(s.cfg.Flushers, s.cfg.FlushTimeout)
+	rt.fl = newFlusherPool(s.cfg.FlushTimeout)
 	rt.live.Store(int32(n))
 	for i := 0; i < n; i++ {
 		rt.workers = append(rt.workers, rt.newWorker(i, n))
@@ -477,7 +486,6 @@ func (rt *workerRuntime) newWorker(id, n int) *worker {
 		outs:        make([]ownerOut, n),
 		folds:       make([]foldState, 1024),
 		gatherSpins: 1,
-		batchCap:    s.cfg.Unit,
 		maxMulti:    s.cfg.MaxMultiOps,
 		maxLine:     s.cfg.MaxLine,
 		maxPending:  s.cfg.MaxPendingWrite,
@@ -1002,11 +1010,11 @@ func (w *worker) stepMulti(c *wconn, v verb) {
 }
 
 // appendOp appends an unconditional op to its owner's trailing merged
-// batch, opening a new one at the Config.Unit boundary.
+// batch, opening a new one at the unitOps boundary.
 func (w *worker) appendOp(op kv.Op) (*unit, int) {
 	o := &w.outs[w.rt.ownerOf(op.Handle)]
 	u := o.open
-	if u == nil || len(u.ops) >= w.batchCap {
+	if u == nil || len(u.ops) >= unitOps {
 		u = w.newUnit(unitBatch)
 		o.units = append(o.units, u)
 		o.open = u

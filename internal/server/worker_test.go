@@ -40,7 +40,7 @@ func newTestWorkers(t *testing.T, cfg Config, n int) (*Server, []*worker) {
 	}
 	t.Cleanup(func() { s.Close() })
 	rt := &workerRuntime{srv: s, stop: make(chan struct{}), allIdle: make(chan struct{})}
-	rt.fl = newFlusherPool(s.cfg.Flushers, s.cfg.FlushTimeout)
+	rt.fl = newFlusherPool(s.cfg.FlushTimeout)
 	t.Cleanup(rt.fl.stop)
 	for i := 0; i < n; i++ {
 		rt.workers = append(rt.workers, rt.newWorker(i, n))

@@ -532,10 +532,15 @@ func (l *Log) openSegment(idx int, firstSeq uint64) error {
 	return nil
 }
 
-// WriteSnapshot persists a consistent cut of the store and truncates
-// the log's history: dump must read the store state in one read-only
+// WriteSnapshot persists a consistent cut of the store as one full
+// image (the pre-chain OFSNAP1 snap-*.snap format) and truncates the
+// log's history: dump must read the store state in one read-only
 // transaction (kv.Store.Dump — the validation-free read-only commit
-// path, so snapshots run under live write traffic).
+// path, so snapshots run under live write traffic). Servers never call
+// it; they cut incremental chains (WriteSnapshotInc). It stays as
+// experiment E16's full-image comparison arm, and tests use it to write
+// the OFSNAP1 format that recovery must still read from older
+// directories.
 //
 // Cut protocol: the cut sequence C is read *before* dump runs, so
 // every record with seq <= C committed before the dump's snapshot was
@@ -546,26 +551,10 @@ func (l *Log) openSegment(idx int, firstSeq uint64) error {
 // reproduces exactly the logged state. Segments whose records are all
 // <= C, and snapshots older than this one, are deleted.
 func (l *Log) WriteSnapshot(dump func() ([]kv.Pair, error)) error {
-	l.mu.Lock()
-	cut := l.lastSeq
-	l.mu.Unlock()
-	return l.WriteSnapshotCut(cut, dump)
-}
-
-// WriteSnapshotCut is WriteSnapshot with an explicit cut sequence, for
-// callers whose applied state may trail the log tail: a replication
-// replica appends shipped records to its log *before* applying them to
-// the store, so its dump is only guaranteed to cover records up to its
-// last applied seq — using lastSeq there would cut away records the
-// dump does not contain. The cut must not exceed lastSeq.
-func (l *Log) WriteSnapshotCut(cut uint64, dump func() ([]kv.Pair, error)) error {
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
 	l.mu.Lock()
-	err := l.failed
-	if err == nil && cut > l.lastSeq {
-		err = fmt.Errorf("wal: snapshot cut %d beyond last seq %d", cut, l.lastSeq)
-	}
+	cut, err := l.lastSeq, l.failed
 	l.mu.Unlock()
 	if err != nil {
 		return err
