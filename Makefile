@@ -93,7 +93,7 @@ server-scale-smoke:
 replication-smoke:
 	@echo "Replication unit suites under the race detector (WAL tail-follow, repl stream, follower reads, kill-primary promote)..."
 	@$(GO) test -race -count=1 ./internal/wal ./internal/repl
-	@$(GO) test -race -count=1 -run 'TestReplicaFollowerReads|TestKillPrimaryPromoteReplica' ./internal/server
+	@$(GO) test -race -count=1 -run 'TestReplicaFollowerReads|TestKillPrimaryPromoteReplica|TestReplicaRebootstrapAfterRotationCut' ./internal/server
 	@echo "Binary-level smoke: primary + 1 replica, mixed load, catch-up, SIGUSR1 promote, load at the promoted node..."
 	@$(GO) build -o /tmp/oftm-repl-smoke ./cmd/oftm-server
 	@rm -rf /tmp/oftm-repl-smoke-p /tmp/oftm-repl-smoke-r; \
@@ -114,7 +114,7 @@ replication-smoke:
 recovery-smoke:
 	@echo "Vetting and running the crash/recovery suite (kill-and-recover, torn tail, WAL unit tests)..."
 	@$(GO) vet $(PKGS)
-	@$(GO) test -count=1 -v -run 'TestKillAndRecover|TestWALRestartCycle|TestRecoveryHelperProcess' ./internal/server
+	@$(GO) test -count=1 -v -run 'TestKillAndRecover|TestWALRestartCycle|TestRecoveryHelperProcess|TestRotationCutBoundsRestart' ./internal/server
 	@$(GO) test -count=1 ./internal/wal
 	@echo "Decoder fuzz corpora (effect iterator, whole-segment replay) against the pre-accumulator oracle..."
 	@$(GO) test -count=1 -run 'Fuzz' ./internal/wal

@@ -45,7 +45,7 @@ func main() {
 	walDir := flag.String("wal-dir", "", "durability: write-ahead log directory (empty = volatile)")
 	fsync := flag.String("fsync", "interval", "durability: WAL fsync policy: always|interval|never")
 	fsyncEvery := flag.Duration("fsync-interval", 100*time.Millisecond, "durability: fsync period for -fsync interval")
-	snapEvery := flag.Duration("snapshot-every", 0, "durability: periodic snapshot+truncate period (0 = off)")
+	snapEvery := flag.Duration("snapshot-every", 0, "durability: periodic snapshot+truncate period (0 = no timer; rotation-triggered cuts always run)")
 	replicateAddr := flag.String("replicate-addr", "", "replication: serve the WAL record stream to replicas on this address (requires -wal-dir)")
 	replicaOf := flag.String("replica-of", "", "replication: boot as a read-only replica of the primary's -replicate-addr (requires -wal-dir; SIGUSR1 or PROMOTE promotes)")
 	connect := flag.String("connect", "", "client mode: address of a running server to load")
@@ -155,8 +155,8 @@ func runServer(cfg server.Config) {
 	if l := s.WAL(); l != nil {
 		ws := l.Stats()
 		replay, load := s.RecoveryTimes()
-		fmt.Printf("  wal: appended=%d durable=%d snapshot_cut=%d segments=%d replay=%s load=%s\n",
-			ws.Appended, ws.Durable, ws.SnapshotSeq, ws.Segments, ms(replay), ms(load))
+		fmt.Printf("  wal: appended=%d durable=%d snapshot_cut=%d segments=%d cuts=%d replay=%s load=%s\n",
+			ws.Appended, ws.Durable, ws.SnapshotSeq, ws.Segments, ws.Cuts, ms(replay), ms(load))
 	}
 	if cfg.ReplicateAddr != "" || cfg.ReplicaOf != "" {
 		rs := s.ReplStats()

@@ -107,9 +107,15 @@ func TestCatchUpAndLiveStream(t *testing.T) {
 	if r.Log().LastSeq() != 20 {
 		t.Fatalf("replica log last seq = %d, want 20", r.Log().LastSeq())
 	}
-	st := p.Stats()
-	if st.Peers != 1 || st.LastShipped != 20 {
-		t.Fatalf("primary stats = %+v, want 1 peer shipped through 20", st)
+	// The primary records a batch as shipped only after its send
+	// returns, so the replica can apply it first: poll with
+	// waitApplied's deadline.
+	deadline := time.Now().Add(10 * time.Second)
+	for st := p.Stats(); st.Peers != 1 || st.LastShipped != 20; st = p.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("primary stats = %+v, want 1 peer shipped through 20", st)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -166,6 +168,116 @@ func TestKillAndRecover(t *testing.T) {
 	}
 	if want := fmt.Sprintf("LEN %d", len(ref)); resp[0] != want {
 		t.Fatalf("LEN after recovery = %q, want %q", resp[0], want)
+	}
+}
+
+// TestRotationCutBoundsRestart checks the default restart bound: a
+// server with default snapshot settings writes several segments of
+// log, each rotation triggers a chain cut, and after a SIGKILL the
+// directory holds one chain and at most two segments, and the restart
+// replays less than one segment of records.
+func TestRotationCutBoundsRestart(t *testing.T) {
+	dir := t.TempDir()
+	cmd, addr := spawnHelper(t, dir)
+	killed := false
+	defer func() {
+		if !killed {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	}()
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("dial helper: %v", err)
+	}
+	// Every write logs at least keyLen bytes, so n writes are at least
+	// 4.5 MiB of log and one 1 MiB segment holds fewer than perSeg.
+	const keyLen, n, window = 1 << 10, 4608, 48
+	const perSeg = (1 << 20) / keyLen
+	pad := strings.Repeat("x", keyLen)
+	ref := map[string]uint64{}
+	for i := 0; i < n; i += window {
+		reqs := make([]string, window)
+		for j := range reqs {
+			k := fmt.Sprintf("big%02d-%s", (i+j)%64, pad)
+			reqs[j] = fmt.Sprintf("SET %s %d", k, i+j)
+			ref[k] = uint64(i + j)
+		}
+		resp, err := cl.Do(reqs...)
+		if err != nil {
+			t.Fatalf("window at %d: %v", i, err)
+		}
+		for j, r := range resp {
+			if !strings.HasPrefix(r, "OK") {
+				t.Fatalf("%s: %s", reqs[j][:12], r)
+			}
+		}
+	}
+	cl.Close()
+
+	// Wait for the cut that follows the last rotation to finish: one
+	// manifest (the older ones are removed last), and its cut covers
+	// every record before the newest segment.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var newestFirst, newestCut uint64
+		segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+		if len(segs) > 0 {
+			sort.Strings(segs)
+			// A segment header is an 8-byte magic and the first seq.
+			if b, err := os.ReadFile(segs[len(segs)-1]); err == nil && len(b) >= 16 {
+				newestFirst = binary.LittleEndian.Uint64(b[8:16])
+			}
+		}
+		mfs, _ := filepath.Glob(filepath.Join(dir, "manifest-*.mf"))
+		for _, m := range mfs {
+			var cut uint64
+			fmt.Sscanf(filepath.Base(m), "manifest-%d.mf", &cut)
+			newestCut = max(newestCut, cut)
+		}
+		if newestFirst > 1 && len(mfs) == 1 && newestCut+1 >= newestFirst {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no cut after the last rotation: %d segment(s), newest starts at %d, %d manifest(s), newest cut %d",
+				len(segs), newestFirst, len(mfs), newestCut)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	cmd.Wait()
+	killed = true
+
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	mfs, _ := filepath.Glob(filepath.Join(dir, "manifest-*.mf"))
+	if len(segs) > 2 || len(mfs) != 1 {
+		t.Fatalf("directory after the kill: %d segment(s) and %d manifest(s), want <= 2 and 1", len(segs), len(mfs))
+	}
+
+	s := startServer(t, Config{Engine: "nztm", WALDir: dir, Fsync: "always"})
+	rec := s.Recovered()
+	if rec.SnapshotSeq == 0 {
+		t.Fatal("restart recovered without a snapshot")
+	}
+	if rec.Records >= perSeg {
+		t.Fatalf("restart replayed %d records, want fewer than the %d writes one segment holds", rec.Records, perSeg)
+	}
+	if rec.Keys != len(ref) {
+		t.Fatalf("server recovered %d keys, want %d", rec.Keys, len(ref))
+	}
+	cl2, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl2.Close()
+	for k, want := range ref {
+		got, found, err := cl2.Get(k)
+		if err != nil || !found || got != want {
+			t.Fatalf("GET %s after recovery = (%d,%v,%v), want (%d,true,nil)", k[:5], got, found, err, want)
+		}
 	}
 }
 

@@ -470,3 +470,94 @@ func TestReplicaBootstrapIncremental(t *testing.T) {
 		t.Fatalf("SET after failover: %v", err)
 	}
 }
+
+// TestReplicaRebootstrapAfterRotationCut is the bundle bootstrap with
+// no snapshot timer on either node: while the replica is down, the
+// primary's rotation-triggered cuts truncate its history past the
+// replica's cursor, so the restarted replica must bootstrap from the
+// shipped chain bundle, then follow live writes and converge.
+func TestReplicaRebootstrapAfterRotationCut(t *testing.T) {
+	prim := startServer(t, Config{Engine: "nztm", WALDir: t.TempDir(), Fsync: "never",
+		ReplicateAddr: "127.0.0.1:0", WALSegmentBytes: 4096})
+	rdir := t.TempDir()
+	rcfg := Config{Engine: "nztm", WALDir: rdir, ReplicaOf: prim.ReplAddr().String()}
+	repl := startServer(t, rcfg)
+
+	cl, err := Dial(prim.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ref := driveLoad(t, cl, 100)
+	waitReplApplied(t, repl, prim.WAL().LastSeq())
+	cursor := repl.WAL().LastSeq()
+	if err := repl.Close(); err != nil {
+		t.Fatalf("close replica: %v", err)
+	}
+
+	// History the replica misses, over many 4 KiB segments.
+	for i := 0; i < 400; i++ {
+		k := fmt.Sprintf("down%03d", i)
+		if err := cl.Set(k, uint64(i)); err != nil {
+			t.Fatalf("SET %s: %v", k, err)
+		}
+		ref[k] = uint64(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for prim.WAL().OldestRetainedSeq() <= cursor+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("primary never truncated past the replica's cursor %d (oldest retained %d, %+v)",
+				cursor, prim.WAL().OldestRetainedSeq(), prim.WAL().Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := prim.WAL().Stats(); st.Cuts == 0 {
+		t.Fatalf("primary truncated without a cut: %+v", st)
+	}
+
+	repl = startServer(t, rcfg)
+	if got := repl.Recovered().SnapshotSeq; got <= cursor {
+		t.Fatalf("replica restarted at snapshot cut %d, want a bootstrap past its cursor %d", got, cursor)
+	}
+	ents, err := os.ReadDir(rdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifests, images := 0, 0
+	for _, e := range ents {
+		switch {
+		case strings.HasSuffix(e.Name(), ".mf"):
+			manifests++
+		case strings.HasSuffix(e.Name(), ".shard"):
+			images++
+		case strings.HasSuffix(e.Name(), ".snap"):
+			t.Fatalf("replica installed a full image %s, want a chain bundle", e.Name())
+		}
+	}
+	if manifests != 1 || images == 0 {
+		t.Fatalf("replica dir after bootstrap: %d manifests, %d shard images — want a chain", manifests, images)
+	}
+
+	for i := 0; i < 50; i++ {
+		k := fmt.Sprintf("post%03d", i)
+		if err := cl.Set(k, uint64(i)); err != nil {
+			t.Fatalf("SET %s: %v", k, err)
+		}
+		ref[k] = uint64(i)
+	}
+	waitReplApplied(t, repl, prim.WAL().LastSeq())
+	rc, err := Dial(repl.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	for k, want := range ref {
+		got, found, err := rc.Get(k)
+		if err != nil || !found || got != want {
+			t.Fatalf("replica GET %s = (%d,%v,%v), want (%d,true,nil)", k, got, found, err, want)
+		}
+	}
+	if resp, _ := rc.Do("LEN"); resp[0] != fmt.Sprintf("LEN %d", len(ref)) {
+		t.Fatalf("replica LEN = %q, want %d keys", resp[0], len(ref))
+	}
+}

@@ -119,11 +119,12 @@ type Config struct {
 	// FsyncInterval is the "interval" policy's fsync period (default
 	// 100ms).
 	FsyncInterval time.Duration
-	// SnapshotEvery takes a periodic snapshot (consistent read-only cut
-	// of the store) and truncates covered log segments. 0 disables
-	// periodic snapshots; recovery then replays the whole log.
+	// SnapshotEvery adds a timer to the snapshot cuts (consistent
+	// read-only cuts of the store that truncate covered log segments).
+	// 0 means no timer. Cuts triggered by segment rotation always run
+	// (wal.Log.CutDue), so recovery replays about one segment of tail.
 	SnapshotEvery time.Duration
-	// WALSegmentBytes caps a log segment before rotation (default 64
+	// WALSegmentBytes caps a log segment before rotation (default 1
 	// MiB).
 	WALSegmentBytes int64
 	// WALFS is the filesystem the WAL writes through (default the real
@@ -284,6 +285,11 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
+	if s.log != nil {
+		s.snapStop = make(chan struct{})
+		s.snapDone = make(chan struct{})
+		go s.snapshotLoop(cfg.SnapshotEvery)
+	}
 	if cfg.ReplicateAddr != "" {
 		if s.log == nil {
 			return nil, errors.New("server: ReplicateAddr requires WALDir (a log to ship)")
@@ -319,11 +325,6 @@ func (s *Server) openWAL(cfg Config) error {
 	}
 	s.store.SetCommitHook(l.Append)
 	s.log = l
-	if cfg.SnapshotEvery > 0 {
-		s.snapStop = make(chan struct{})
-		s.snapDone = make(chan struct{})
-		go s.snapshotLoop(cfg.SnapshotEvery)
-	}
 	return nil
 }
 
@@ -372,11 +373,6 @@ func (s *Server) openReplicaWAL(cfg Config) error {
 	s.log = l
 	s.repl = r
 	r.Start(s.store)
-	if cfg.SnapshotEvery > 0 {
-		s.snapStop = make(chan struct{})
-		s.snapDone = make(chan struct{})
-		go s.snapshotLoop(cfg.SnapshotEvery)
-	}
 	return nil
 }
 
@@ -396,20 +392,26 @@ func (s *Server) loadRecovered(rec *wal.Recovered, replay time.Duration) error {
 	return nil
 }
 
-// snapshotLoop takes periodic snapshots until Close.
+// snapshotLoop takes a snapshot whenever a segment rotation makes one
+// due (wal.Log.CutDue) and, with every > 0, on a timer, until Close.
 func (s *Server) snapshotLoop(every time.Duration) {
 	defer close(s.snapDone)
-	t := time.NewTicker(every)
-	defer t.Stop()
+	var tick <-chan time.Time
+	if every > 0 {
+		t := time.NewTicker(every)
+		defer t.Stop()
+		tick = t.C
+	}
 	for {
 		select {
 		case <-s.snapStop:
 			return
-		case <-t.C:
-			// Best effort: a failed snapshot (e.g. mid-shutdown) leaves
-			// the previous one in place and the full tail replayable.
-			s.SnapshotNow()
+		case <-s.log.CutDue():
+		case <-tick:
 		}
+		// Best effort: a failed snapshot (e.g. mid-shutdown) leaves the
+		// previous one in place and the full tail replayable.
+		s.SnapshotNow()
 	}
 }
 

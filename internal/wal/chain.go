@@ -350,6 +350,7 @@ func (l *Log) WriteSnapshotIncCut(cut uint64, src SnapshotSource) error {
 		err = fmt.Errorf("wal: snapshot cut %d beyond last seq %d", cut, l.lastSeq)
 	}
 	snapSeq := l.snapSeq
+	written := l.written.Load()
 	l.mu.Unlock()
 	if err != nil {
 		return err
@@ -373,10 +374,13 @@ func (l *Log) WriteSnapshotIncCut(cut uint64, src SnapshotSource) error {
 		epochs[i] = src.DirtyEpochLocked(i)
 	}
 	imgCuts := make([]uint64, nshards)
+	imgBytes := make([]int64, nshards)
+	var totalBytes int64
 	wroteImage := false
 	for s := 0; s < nshards; s++ {
 		if !full && epochs[s] == l.chainEpochs[s] {
-			imgCuts[s] = l.chainImgs[s]
+			imgCuts[s], imgBytes[s] = l.chainImgs[s], l.chainImgBytes[s]
+			totalBytes += imgBytes[s]
 			continue
 		}
 		pairs, err := src.DumpShard(s)
@@ -391,7 +395,8 @@ func (l *Log) WriteSnapshotIncCut(cut uint64, src SnapshotSource) error {
 		if err := fsyncFile(l.opts.FS, path); err != nil {
 			return err
 		}
-		imgCuts[s] = cut
+		imgCuts[s], imgBytes[s] = cut, int64(len(img))
+		totalBytes += imgBytes[s]
 		wroteImage = true
 	}
 	if wroteImage {
@@ -418,7 +423,10 @@ func (l *Log) WriteSnapshotIncCut(cut uint64, src SnapshotSource) error {
 	if err := syncDir(l.opts.FS, l.opts.Dir); err != nil {
 		return err
 	}
-	l.chainCut, l.chainImgs, l.chainEpochs = cut, imgCuts, epochs
+	l.chainCut, l.chainImgs, l.chainImgBytes, l.chainEpochs = cut, imgCuts, imgBytes, epochs
+	l.mu.Lock()
+	l.chainBytes, l.cutWritten = totalBytes, written
+	l.mu.Unlock()
 
 	keep := map[string]bool{manifestName(cut): true}
 	for s, c := range imgCuts {
@@ -428,6 +436,15 @@ func (l *Log) WriteSnapshotIncCut(cut uint64, src SnapshotSource) error {
 	return nil
 }
 
+// dropChain forgets the chain base, so the next incremental cut is full
+// and the next rotation signals CutDue. Callers hold l.snapMu.
+func (l *Log) dropChain() {
+	l.chainCut, l.chainImgs, l.chainImgBytes, l.chainEpochs = 0, nil, nil, nil
+	l.mu.Lock()
+	l.chainBytes = 0
+	l.mu.Unlock()
+}
+
 // truncateTo advances the snapshot cut, drops segments fully covered by
 // it and removes every snapshot artifact not named in keep. Removal
 // failures are ignored — stale files only cost disk and are retried by
@@ -435,6 +452,7 @@ func (l *Log) WriteSnapshotIncCut(cut uint64, src SnapshotSource) error {
 func (l *Log) truncateTo(cut uint64, keep map[string]bool) {
 	l.mu.Lock()
 	l.snapSeq = cut
+	l.cuts++
 	var drop []string
 	kept := l.segs[:0]
 	for i, s := range l.segs {

@@ -385,3 +385,97 @@ func TestChainBundleShipAndInstall(t *testing.T) {
 		t.Fatalf("live install LastSeq = %d, want %d", rec3.LastSeq, cut+1)
 	}
 }
+
+// TestRotationCutAmortised drives the CutDue rule at the default
+// segment size with a source whose images are larger than a segment:
+// the first rotation signals (no chain yet), and after that cut no
+// rotation signals until the log bytes written since the cut reach the
+// chain's image bytes.
+func TestRotationCutAmortised(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, Options{Policy: SyncNever})
+	defer l.Close()
+	due := func() bool {
+		select {
+		case <-l.CutDue():
+			return true
+		default:
+			return false
+		}
+	}
+
+	// 4 shards × 40 keys × 16 KiB: about 2.5 MiB of images.
+	src := newFakeSource(4)
+	for s := range src.shards {
+		for i := 0; i < 40; i++ {
+			src.shards[s][fmt.Sprintf("%d-%03d-%s", s, i, strings.Repeat("k", 16<<10))] = uint64(i)
+		}
+	}
+
+	// appendOne logs one 8 KiB record, waits for it to reach its
+	// segment, and reports whether that write rotated.
+	var seq uint64
+	var logBytes int64
+	appendOne := func() (rotated bool) {
+		t.Helper()
+		segs := l.Stats().Segments
+		eff := []kv.Effect{put(fmt.Sprintf("%06d-%s", seq, strings.Repeat("v", 8<<10)), seq)}
+		if err := l.Append(eff); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		seq++
+		waitDurable(t, l, seq)
+		logBytes += int64(len(EncodeFrame(nil, seq, eff)))
+		return l.Stats().Segments > segs
+	}
+
+	for !appendOne() {
+		if due() {
+			t.Fatal("CutDue signalled before any rotation")
+		}
+	}
+	if !due() {
+		t.Fatal("the first rotation did not signal CutDue with no chain")
+	}
+	if err := l.WriteSnapshotInc(src); err != nil {
+		t.Fatalf("WriteSnapshotInc: %v", err)
+	}
+	_, images, _ := listSnapshotFiles(t, dir)
+	var imgBytes int64
+	for _, name := range images {
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		imgBytes += fi.Size()
+	}
+	if imgBytes <= 2<<20 {
+		t.Fatalf("images hold %d bytes, want more than two 1 MiB segments", imgBytes)
+	}
+	cutBytes := logBytes
+
+	quiet := 0
+	for {
+		before := logBytes
+		if !appendOne() {
+			if due() {
+				t.Fatal("CutDue signalled without a rotation")
+			}
+			continue
+		}
+		since := before - cutBytes
+		if got, want := due(), since >= imgBytes; got != want {
+			t.Fatalf("rotation %d bytes after the cut (images %d bytes): CutDue = %v, want %v", since, imgBytes, got, want)
+		}
+		if since >= imgBytes {
+			break
+		}
+		quiet++
+	}
+	if quiet < 2 {
+		t.Fatalf("%d rotations passed without a cut, want at least 2 for %d image bytes", quiet, imgBytes)
+	}
+	if st := l.Stats(); st.Cuts != 1 {
+		t.Fatalf("Stats().Cuts = %d, want 1", st.Cuts)
+	}
+}

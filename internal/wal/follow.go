@@ -554,7 +554,7 @@ func (l *Log) installSnapshot(img []byte, cut uint64) error {
 	// which need not match this process's handle ordering — a local
 	// incremental cut must never link to them (see chain.go), so the
 	// next cut is forced full.
-	l.chainCut, l.chainImgs, l.chainEpochs = 0, nil, nil
+	l.dropChain()
 	if err := l.openSegment(lastIdx+1, cut+1); err != nil {
 		return err
 	}

@@ -279,6 +279,9 @@ func Open(opts Options) (*Log, Recovered, error) {
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 		exec: make(chan execReq),
+		// One pending signal is enough: a cut covers every rotation
+		// before it.
+		cutDue: make(chan struct{}, 1),
 	}
 	l.cond = sync.NewCond(&l.mu)
 

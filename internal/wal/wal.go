@@ -42,6 +42,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faultfs"
@@ -96,7 +97,8 @@ type Options struct {
 	// Interval is the SyncInterval fsync period (default 100ms).
 	Interval time.Duration
 	// SegmentBytes rotates the active segment once it exceeds this
-	// size (default 64 MiB).
+	// size (default 1 MiB). A rotation is also what makes a chain cut
+	// due (see Log.CutDue), so it bounds the log tail a restart replays.
 	SegmentBytes int64
 	// FS is the filesystem the log writes through (default the real
 	// OS). Tests and the crash campaign install a faultfs.Injector.
@@ -108,7 +110,7 @@ func (o *Options) fill() {
 		o.Interval = 100 * time.Millisecond
 	}
 	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 64 << 20
+		o.SegmentBytes = 1 << 20
 	}
 	if o.FS == nil {
 		o.FS = faultfs.OS
@@ -163,11 +165,23 @@ type Log struct {
 	tailOn       bool       // mirror flushed batches into tail; latched by the first TailReader
 	failed       error
 	closed       bool
+	cuts         uint64 // snapshot cuts written by this process
+	// Amortisation of rotation-triggered cuts (see rotate): chainBytes
+	// is the total size of the newest chain's shard images, 0 while
+	// there is no chain (an image is never empty: it has a header);
+	// cutWritten is written's value when that chain's cut was taken.
+	chainBytes int64
+	cutWritten int64
 
-	wake chan struct{}
-	quit chan struct{}
-	done chan struct{}
-	exec chan execReq // funcs to run on the log goroutine (snapshot install)
+	// written counts the bytes this process wrote to segments. The log
+	// goroutine adds to it; a cut reads it.
+	written atomic.Int64
+
+	wake   chan struct{}
+	quit   chan struct{}
+	done   chan struct{}
+	exec   chan execReq  // funcs to run on the log goroutine (snapshot install)
+	cutDue chan struct{} // a rotation made a chain cut due; see CutDue
 
 	// snapMu serializes everything that mutates snapshot files and the
 	// chain state below: the snapshot writers, snapshot install, and
@@ -179,9 +193,10 @@ type Log struct {
 	// full cut. Chains deliberately never link to images of a previous
 	// process: shard membership hashes intern handles, whose assignment
 	// order is not stable across recovery.
-	chainCut    uint64
-	chainImgs   []uint64 // per-shard image cut referenced by the newest manifest
-	chainEpochs []uint64 // per-shard dirty epochs observed at that cut
+	chainCut      uint64
+	chainImgs     []uint64 // per-shard image cut referenced by the newest manifest
+	chainImgBytes []int64  // per-shard size of those images
+	chainEpochs   []uint64 // per-shard dirty epochs observed at that cut
 
 	// log-goroutine-owned state.
 	f        faultfs.File
@@ -255,14 +270,25 @@ type Stats struct {
 	Durable     uint64 // last seq persisted per the policy
 	SnapshotSeq uint64 // cut of the latest snapshot (0 = none)
 	Segments    int    // live segment files, active included
+	Cuts        uint64 // snapshot cuts written by this process
 }
 
 // Stats snapshots the log counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return Stats{Appended: l.lastSeq, Durable: l.durableSeq, SnapshotSeq: l.snapSeq, Segments: len(l.segs)}
+	return Stats{Appended: l.lastSeq, Durable: l.durableSeq, SnapshotSeq: l.snapSeq, Segments: len(l.segs), Cuts: l.cuts}
 }
+
+// CutDue delivers a value when a segment rotation has made a chain cut
+// due: the log has no chain yet, or the bytes written to segments since
+// the newest chain's cut have reached the size of that chain's shard
+// images. The second condition keeps the image bytes a writer pays no
+// larger than the log bytes they retire, so cuts cost at most one extra
+// write per logged byte, whatever the store's size. The channel holds
+// one pending signal; the consumer cuts with WriteSnapshotInc (or
+// WriteSnapshotIncCut), after which the covered segments are dropped.
+func (l *Log) CutDue() <-chan struct{} { return l.cutDue }
 
 // Err returns the sticky failure, if any.
 func (l *Log) Err() error {
@@ -450,6 +476,7 @@ func (l *Log) writeBatch(buf []byte, firstSeq uint64) error {
 		}
 		w, err := l.f.Write(buf[:end])
 		l.segBytes += int64(w)
+		l.written.Add(int64(w))
 		if err != nil {
 			return err
 		}
@@ -464,7 +491,9 @@ func (l *Log) writeBatch(buf []byte, firstSeq uint64) error {
 }
 
 // rotate closes the active segment (fully durable first) and opens the
-// next one, whose records start at firstSeq.
+// next one, whose records start at firstSeq. It then signals CutDue if
+// a cut is due: a cut taken now covers every record of the closed
+// segment, so the truncation after it drops that segment.
 func (l *Log) rotate(firstSeq uint64) error {
 	if err := l.f.Sync(); err != nil {
 		return err
@@ -474,8 +503,18 @@ func (l *Log) rotate(firstSeq uint64) error {
 	}
 	l.mu.Lock()
 	idx := l.segs[len(l.segs)-1].idx + 1
+	due := l.chainBytes == 0 || l.written.Load()-l.cutWritten >= l.chainBytes
 	l.mu.Unlock()
-	return l.openSegment(idx, firstSeq)
+	if err := l.openSegment(idx, firstSeq); err != nil {
+		return err
+	}
+	if due {
+		select {
+		case l.cutDue <- struct{}{}:
+		default:
+		}
+	}
+	return nil
 }
 
 // syncNow fsyncs the active segment if anything was written since the
@@ -579,7 +618,7 @@ func (l *Log) WriteSnapshot(dump func() ([]kv.Pair, error)) error {
 	}
 	// A full image supersedes any chain; the next incremental cut
 	// starts a fresh chain with a full cut.
-	l.chainCut, l.chainImgs, l.chainEpochs = 0, nil, nil
+	l.dropChain()
 	l.truncateTo(cut, map[string]bool{snapName(cut): true})
 	return nil
 }
